@@ -46,6 +46,7 @@ along its own axis reduces P to one-dimensional integrals:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,12 +56,9 @@ from .configs import AntipodalLengths
 from .gaussian import (
     DEFAULT_QUADRATURE,
     TAIL_SIGMAS,
-    QuadratureError,
     QuadratureSpec,
-    _WG,
-    _WK,
-    _XK,
     integrate_gauss_tail,
+    integrate_many,
     normal_pdf,
 )
 
@@ -96,8 +94,8 @@ def p_steiner(k: int, a: float, spec: QuadratureSpec | None = None) -> ProbEstim
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if a < 0:
-        raise ValueError(f"length must be nonnegative, got {a}")
+    if not (math.isfinite(a) and a >= 0):
+        raise ValueError(f"length must be finite and nonnegative, got {a}")
     spec = spec or DEFAULT_QUADRATURE
     tol = spec.abs_tol / (4.0 * k)
     inner = QuadratureSpec(abs_tol=tol, max_subdivisions=spec.max_subdivisions)
@@ -118,54 +116,25 @@ def _axis_cell_integrals(
 ) -> float:
     """Sum over j of int_{lower_j}^{a_j + tail} phi(t - a_j) prod_{i!=j} box_i(t) dt.
 
-    All k integrals are driven through one adaptive Gauss-Kronrod loop so
-    each refinement round costs a single vectorized evaluation.  The box
-    factor for pair i at depth t is 2 Phi((a_i^2 + 2 a_j t - a_j^2)/(2 a_i)) - 1,
+    All k integrals run through one :func:`integrate_many` loop, so each
+    refinement round costs a single vectorized evaluation.  The box factor
+    for pair i at depth t is 2 Phi((a_i^2 + 2 a_j t - a_j^2)/(2 a_i)) - 1,
     an affine argument in t precomputed as slope/intercept per (j, i).
     """
-    k = a.size
-    upper = a + TAIL_SIGMAS
-    widths = upper - lower
     # argument_{j,i}(t) = intercept[j, i] + slope[j, i] * t
     slope = a[:, None] / a[None, :]
     intercept = (a[None, :] ** 2 - a[:, None] ** 2) / (2.0 * a[None, :])
 
-    # Pending panels: per-panel owner integral, bounds, and error budget share.
-    owner = np.repeat(np.arange(k), 4)
-    edges = np.linspace(lower, upper, 5, axis=1)
-    lo = edges[:, :-1].reshape(-1)
-    hi = edges[:, 1:].reshape(-1)
-
-    total = 0.0
-    n_splits = 0
-    while owner.size:
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        t = mid[:, None] + half[:, None] * _XK  # (panels, 15)
+    def integrand(t: np.ndarray, owner: np.ndarray) -> np.ndarray:
         args = intercept[owner][:, None, :] + slope[owner][:, None, :] * t[:, :, None]
         factors = 2.0 * ndtr(args) - 1.0  # (panels, 15, k)
         factors[np.arange(owner.size), :, owner] = 1.0
-        y = normal_pdf(t - a[owner][:, None]) * factors.prod(axis=2)
-        k15 = (y * _WK).sum(axis=1) * half
-        g7 = (y[:, 1::2] * _WG).sum(axis=1) * half
-        err = np.abs(k15 - g7)
-        budget = abs_tol_each * (hi - lo) / widths[owner]
-        ok = err <= budget
-        total += float(k15[ok].sum())
-        owner_bad = owner[~ok]
-        lo_bad = lo[~ok]
-        hi_bad = hi[~ok]
-        n_splits += owner_bad.size
-        if n_splits > max_subdivisions:
-            raise QuadratureError(
-                f"needed more than {max_subdivisions} subdivisions across "
-                f"{k} axis-cell integrals for abs_tol={abs_tol_each}"
-            )
-        m = 0.5 * (lo_bad + hi_bad)
-        owner = np.concatenate([owner_bad, owner_bad])
-        lo = np.concatenate([lo_bad, m])
-        hi = np.concatenate([m, hi_bad])
-    return total
+        return normal_pdf(t - a[owner][:, None]) * factors.prod(axis=2)
+
+    return integrate_many(
+        integrand, lower, a + TAIL_SIGMAS, abs_tol_each, max_subdivisions,
+        initial_panels=4,
+    )
 
 
 def p_antipodal(
@@ -213,8 +182,8 @@ def p_simplex(
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    if radius < 0:
-        raise ValueError(f"radius must be nonnegative, got {radius}")
+    if not (math.isfinite(radius) and radius >= 0):
+        raise ValueError(f"radius must be finite and nonnegative, got {radius}")
     spec = spec or DEFAULT_QUADRATURE
     shift = radius * np.sqrt(m / (m - 1.0))
     inner = QuadratureSpec(

@@ -27,7 +27,7 @@ from .estimators import (
     plank_product_gap,
     slice_identity_check,
 )
-from .gaussian import QuadratureSpec, RandomStream
+from .gaussian import QuadratureError, QuadratureSpec, RandomStream
 from .optimize import OptimSettings, basin_hop
 from .reporting import (
     FORMAT_CSV,
@@ -74,6 +74,16 @@ def _threads_default() -> int:
     return os.cpu_count() or 1
 
 
+def _parse_threads(text: str) -> int:
+    try:
+        threads = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {threads}")
+    return threads
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gausscode",
@@ -108,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev_mc.add_argument("--config", required=True)
     ev_mc.add_argument("--samples", type=int, default=1_000_000)
     ev_mc.add_argument("--seed", type=int, default=0)
-    ev_mc.add_argument("--threads", type=int, default=_threads_default())
+    ev_mc.add_argument("--threads", type=_parse_threads, default=_threads_default())
 
     ev_direct = ev_modes.add_parser("direct", help="direct integration of a config file")
     ev_direct.add_argument("--config", required=True)
@@ -123,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     tb.add_argument("--tol", type=float, default=1e-10)
     tb.add_argument("--out", required=True)
     tb.add_argument("--format", choices=[FORMAT_CSV, FORMAT_TEXT], default=FORMAT_CSV)
-    tb.add_argument("--threads", type=int, default=_threads_default())
+    tb.add_argument("--threads", type=_parse_threads, default=_threads_default())
     tb.add_argument("--hops", type=int, default=200)
     tb.add_argument("--seed", type=int, default=0)
 
@@ -137,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     op.add_argument("--local-tol", type=float, default=1e-9)
     op.add_argument("--zero-floor", type=float, default=1e-6)
     op.add_argument("--tol", type=float, default=1e-10)
-    op.add_argument("--threads", type=int, default=_threads_default())
+    op.add_argument("--threads", type=_parse_threads, default=_threads_default())
 
     # compare -------------------------------------------------------------
     cp = sub.add_parser(
@@ -153,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     ck = sub.add_parser("check", help="run the slicing / plank validation suite")
     ck.add_argument("--samples", type=int, default=100_000)
     ck.add_argument("--seed", type=int, default=0)
-    ck.add_argument("--threads", type=int, default=_threads_default())
+    ck.add_argument("--threads", type=_parse_threads, default=_threads_default())
 
     return parser
 
@@ -167,6 +177,8 @@ def _print_estimate(est) -> None:
 
 def cmd_eval(args) -> int:
     spec = QuadratureSpec(abs_tol=getattr(args, "tol", 1e-10))
+    if getattr(args, "energy", None) is not None and not args.energy >= 0:
+        raise ValueError(f"--energy must be a nonnegative number, got {args.energy}")
     if args.mode == "steiner":
         if args.k < 1:
             raise ValueError("--k must be >= 1")
@@ -330,7 +342,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         parser.error(str(exc))  # exits 2
         return 2
-    except (ConfigurationError, OSError, ValueError) as exc:
+    except (ConfigurationError, OSError, QuadratureError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -44,6 +44,11 @@ class TestSteiner:
         with pytest.raises(ValueError):
             p_steiner(2, -0.5)
 
+    @pytest.mark.parametrize("a", [float("nan"), float("inf"), -float("inf"), -1e-300])
+    def test_rejects_non_finite_and_negative_lengths(self, a):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            p_steiner(3, a)
+
     @given(st.integers(min_value=1, max_value=12),
            st.floats(min_value=0.0, max_value=8.0))
     @settings(max_examples=40, deadline=None)
@@ -113,6 +118,11 @@ class TestSimplex:
             p_simplex(1, 1.0)
         with pytest.raises(ValueError):
             p_simplex(3, -1.0)
+
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf"), -float("inf"), -1e-300])
+    def test_rejects_non_finite_and_negative_radii(self, radius):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            p_simplex(3, radius)
 
     @given(st.integers(min_value=2, max_value=10),
            st.floats(min_value=0.0, max_value=5.0))

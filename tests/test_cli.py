@@ -63,6 +63,38 @@ class TestEval:
             main(["eval", "steiner", "--k", "1", "--energy", "1", "--length", "2"])
         assert err.value.code == 2
 
+    def test_quadrature_failure_exit_1(self, capsys):
+        code, out, err = run(capsys, "eval", "steiner", "--k", "20", "--length", "5.0",
+                             "--tol", "1e-12")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "subdivisions" in err
+
+    @pytest.mark.parametrize("mode,energy", [
+        ("steiner", "inf"), ("steiner", "-1"), ("steiner", "nan"),
+        ("simplex", "inf"), ("simplex", "-1"), ("simplex", "nan"),
+    ])
+    def test_bad_energy_exit_1(self, capsys, mode, energy):
+        flag = "--k" if mode == "steiner" else "--m"
+        code, out, err = run(capsys, "eval", mode, flag, "3", "--energy", energy)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "mc", "--config", "unused.json"],
+        ["table", "--kind", "steiner", "--out", "unused.csv"],
+        ["optimize", "--k", "2", "--energy", "4.0"],
+        ["check"],
+    ])
+    @pytest.mark.parametrize("threads", ["0", "-2", "two"])
+    def test_bad_threads_exit_2(self, capsys, argv, threads):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--threads", threads])
+        assert err.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
     def test_missing_file_exit_1(self, capsys):
         code, _, err = run(capsys, "eval", "mc", "--config", "/nonexistent.json",
                            "--samples", "10")

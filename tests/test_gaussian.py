@@ -5,11 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gausscode.analytic import p_antipodal, p_simplex, p_steiner, p_with_origin
+from gausscode.configs import AntipodalLengths, Configuration
+from gausscode.estimators import p_direct
 from gausscode.gaussian import (
     QuadratureError,
     QuadratureSpec,
     RandomStream,
+    integrate_adaptive,
     integrate_gauss_tail,
+    integrate_many,
     next_gaussian,
     normal_cdf,
     normal_pdf,
@@ -125,6 +130,69 @@ class TestIntegrateGaussTail:
             QuadratureSpec(abs_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(max_subdivisions=0)
+
+
+class TestIntegrateMany:
+    LO = [-1.0, 0.0, 0.3]
+    HI = [1.0, 2.0, 5.5]
+
+    def test_matches_one_at_a_time(self):
+        f = lambda t: np.cos(3.0 * t) * normal_pdf(t)
+        got = integrate_many(lambda t, owner: f(t), self.LO, self.HI, 1e-12)
+        want = sum(integrate_adaptive(f, lo, hi, 1e-12) for lo, hi in zip(self.LO, self.HI))
+        assert got == pytest.approx(want, abs=1e-14)
+
+    def test_owner_selects_the_integrand(self):
+        scale = np.array([1.0, 2.0, 3.0])
+        got = integrate_many(lambda t, owner: scale[owner][:, None] * t**2,
+                             self.LO, self.HI, 1e-10)
+        want = sum(s * (hi**3 - lo**3) / 3.0 for s, lo, hi in zip(scale, self.LO, self.HI))
+        assert got == pytest.approx(want, abs=1e-10)
+
+    def test_split_budget_is_shared(self):
+        # one step integral needs 51 splits at this tolerance; two need 102
+        step = lambda t: np.sign(t - 0.3)
+        integrate_adaptive(step, -1.0, 1.0, 1e-12, max_subdivisions=60)
+        integrate_adaptive(step, 0.0, 2.0, 1e-12, max_subdivisions=60)
+        with pytest.raises(QuadratureError):
+            integrate_many(lambda t, owner: step(t), [-1.0, 0.0], [1.0, 2.0],
+                           1e-12, max_subdivisions=60)
+
+    def test_adaptive_empty_range(self):
+        assert integrate_adaptive(np.ones_like, 2.0, 2.0, 1e-10) == 0.0
+
+
+class TestFrozenValues:
+    """Exact values of the closed forms, frozen before the quadrature loops merged."""
+
+    LENGTHS = (0.8, 1.3, 0.4)
+
+    def test_steiner(self):
+        assert repr(p_steiner(3, 1.0).value) == "2.7818960329854954"
+        assert repr(p_steiner(10, 2.5).value) == "14.525934735633346"
+
+    def test_simplex(self):
+        assert repr(p_simplex(7, 1.3).value) == "3.8452581066943994"
+        assert repr(p_simplex(2, 0.5).value) == "1.382924922548022"
+
+    def test_with_origin(self):
+        assert repr(p_with_origin(AntipodalLengths(self.LENGTHS, True)).value) == (
+            "2.515984424805309"
+        )
+        lengths = AntipodalLengths((1.34124,) * 5 + (0.0709,), True)
+        assert repr(p_with_origin(lengths).value) == "4.62456073407203"
+
+    def test_antipodal(self):
+        assert repr(p_antipodal(AntipodalLengths(self.LENGTHS)).value) == (
+            "2.515147654697159"
+        )
+        assert repr(p_antipodal(AntipodalLengths((1.0, 1e-3))).value) == (
+            "1.7661557269939898"
+        )
+
+    def test_direct_2d(self):
+        config = Configuration(2, [[0.9, 0.0], [-0.4, 0.8], [0.2, -0.9]])
+        assert repr(p_direct(config, QuadratureSpec(1e-4)).value) == "1.928428980672239"
 
 
 class TestRandomStream:

@@ -121,14 +121,18 @@ def _axis_cell_integrals(
     for pair i at depth t is 2 Phi((a_i^2 + 2 a_j t - a_j^2)/(2 a_i)) - 1,
     an affine argument in t precomputed as slope/intercept per (j, i).
     """
-    # argument_{j,i}(t) = intercept[j, i] + slope[j, i] * t
-    slope = a[:, None] / a[None, :]
+    # argument_{j,i}(t) = intercept_{j,i} + slope_{j,i} * t.  Cell j's own
+    # factor (i = j) would be exactly 1, so row j keeps only the k - 1 pairs
+    # i != j, in order of i.
+    k = a.size
+    others = ~np.eye(k, dtype=bool)
+    slope = (a[:, None] / a[None, :])[others].reshape(k, k - 1)
     intercept = (a[None, :] ** 2 - a[:, None] ** 2) / (2.0 * a[None, :])
+    intercept = intercept[others].reshape(k, k - 1)
 
     def integrand(t: np.ndarray, owner: np.ndarray) -> np.ndarray:
         args = intercept[owner][:, None, :] + slope[owner][:, None, :] * t[:, :, None]
-        factors = 2.0 * ndtr(args) - 1.0  # (panels, 15, k)
-        factors[np.arange(owner.size), :, owner] = 1.0
+        factors = 2.0 * ndtr(args) - 1.0  # (panels, 15, k - 1)
         return normal_pdf(t - a[owner][:, None]) * factors.prod(axis=2)
 
     return integrate_many(

@@ -2,7 +2,10 @@
 
 Four independent routes:
 
-* :func:`mc_decode` simulates nearest-point decoding directly.
+* :func:`mc_decode` simulates nearest-point decoding directly.  Noise g
+  sent from v_i decodes to v_i exactly when g . w_j < |w_j|^2 / 2 for
+  every w_j = v_j - v_i (j != i), which is |g|^2 < |g - w_j|^2 expanded,
+  so each chunk of samples is tested with one matrix product.
 * :func:`p_direct` integrates max_i phi_n(x - v_i) over a box by iterated
   adaptive quadrature (n <= 3).
 * :func:`slice_identity_check` reconstructs P through the level-set
@@ -134,16 +137,37 @@ class PlankSystem:
         object.__setattr__(self, "halfwidths", halfwidths)
 
 
+def _hit_fraction(
+    stream: RandomStream, samples: int, dimension: int, inside
+) -> float:
+    """Share of ``samples`` standard normal draws for which ``inside`` holds.
+
+    Draws (m, dimension) arrays of at most ``_CHUNK`` rows from ``stream``
+    and passes each to the vectorized test ``inside``, which returns one
+    boolean per row.
+    """
+    hits = 0
+    done = 0
+    while done < samples:
+        m = min(_CHUNK, samples - done)
+        hits += int(np.count_nonzero(inside(stream.normal((m, dimension)))))
+        done += m
+    return hits / samples
+
+
 def mc_decode(
     config: Configuration, samples: int, seed: int, threads: int = 1
 ) -> MCReport:
     """Monte Carlo estimate of P by simulating nearest-point decoding.
 
-    For each distinct point v the noise v + g must land *strictly* closer
-    to v than to every other distinct point; exact ties count as incorrect
-    (the wall set has measure zero, so the convention is estimate-neutral).
-    Point i draws from substream (seed, i), making the result independent
-    of thread count; the standard error is the root-sum-square of the
+    For each distinct point v_i the noise g must land *strictly* inside
+    every wall halfspace g . w_j < |w_j|^2 / 2, w_j = v_j - v_i for the
+    other distinct points v_j.  Expanding |g|^2 < |g - w_j|^2 gives that
+    inequality, so this is exactly "v_i + g is strictly closer to v_i than
+    to every other point".  Exact ties count as incorrect (the wall set
+    has measure zero, so the convention is estimate-neutral).  Point i
+    draws from substream (seed, i), making the result independent of
+    thread count; the standard error is the root-sum-square of the
     per-point binomial errors.
     """
     if samples < 1:
@@ -152,25 +176,14 @@ def mc_decode(
     n_pts = pts.shape[0]
 
     def point_prob(i: int) -> float:
-        stream = RandomStream(seed, i)
-        hits = 0
-        done = 0
-        while done < samples:
-            m = min(_CHUNK, samples - done)
-            g = stream.normal((m, config.dimension))
-            d_own = np.einsum("ij,ij->i", g, g)
-            x = pts[i] + g
-            d_other = np.full(m, np.inf)
-            for j in range(n_pts):
-                if j == i:
-                    continue
-                diff = x - pts[j]
-                np.minimum(
-                    d_other, np.einsum("ij,ij->i", diff, diff), out=d_other
-                )
-            hits += int(np.count_nonzero(d_own < d_other))
-            done += m
-        return hits / samples
+        walls = np.delete(pts, i, axis=0) - pts[i]
+        offsets = 0.5 * np.einsum("ij,ij->i", walls, walls)
+        return _hit_fraction(
+            RandomStream(seed, i),
+            samples,
+            config.dimension,
+            lambda g: (g @ walls.T < offsets).all(axis=1),
+        )
 
     if threads > 1 and n_pts > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -247,16 +260,12 @@ def measure_union_stream(
     system: HalfspaceSystem, samples: int, stream: RandomStream
 ) -> float:
     """Like :func:`measure_union` but drawing from a caller-owned stream."""
-    n = system.normals.shape[1]
-    hits = 0
-    done = 0
-    while done < samples:
-        m = min(_CHUNK, samples - done)
-        x = stream.normal((m, n)) / np.sqrt(2.0)
-        inside = (x @ system.normals.T >= system.offsets).any(axis=1)
-        hits += int(np.count_nonzero(inside))
-        done += m
-    return hits / samples
+
+    def inside(g: np.ndarray) -> np.ndarray:
+        x = g / np.sqrt(2.0)
+        return (x @ system.normals.T >= system.offsets).any(axis=1)
+
+    return _hit_fraction(stream, samples, system.normals.shape[1], inside)
 
 
 def measure_union(
@@ -323,17 +332,12 @@ def plank_product_gap(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    stream = RandomStream(seed, 0)
-    n = system.directions.shape[1]
-    hits = 0
-    done = 0
-    while done < samples:
-        m = min(_CHUNK, samples - done)
-        x = stream.normal((m, n))
-        inside = (np.abs(x @ system.directions.T) <= system.halfwidths).all(axis=1)
-        hits += int(np.count_nonzero(inside))
-        done += m
-    p = hits / samples
+    p = _hit_fraction(
+        RandomStream(seed, 0),
+        samples,
+        system.directions.shape[1],
+        lambda g: (np.abs(g @ system.directions.T) <= system.halfwidths).all(axis=1),
+    )
     report = MCReport(p, float(np.sqrt(p * (1.0 - p) / samples)), samples, seed)
     product = float(np.prod(2.0 * ndtr(system.halfwidths) - 1.0))
     return report, product

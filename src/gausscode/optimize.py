@@ -11,7 +11,6 @@ accepted only on strict improvement.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,6 +261,8 @@ def basin_hop(
     ``perturbation_scale``, renormalize, refine, and accept only strict
     improvements.  Ties prefer the lexicographically smallest sorted
     lengths, so the result is independent of how starts are scheduled.
+    Runs serially: a refinement is too short for a thread pool to pay, so
+    ``threads`` is accepted and ignored.
     """
     settings = settings or OptimSettings()
     if k < 1:
@@ -271,11 +272,7 @@ def basin_hop(
         return _refine_shares(shares, energy.total, settings, spec)
 
     starts = _structured_starts(k)
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            refined = list(pool.map(refine_from, starts))
-    else:
-        refined = [refine_from(s) for s in starts]
+    refined = [refine_from(s) for s in starts]
 
     best_shares = None
     best_p = -np.inf

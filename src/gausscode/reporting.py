@@ -9,7 +9,6 @@ can be re-evaluated and checked exactly.
 from __future__ import annotations
 
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,26 +78,16 @@ def pair_length(energy: float, k: int) -> float:
 def steiner_grid(
     request: TableRequest, threads: int = 1
 ) -> np.ndarray:
-    """P(k, E) over the requested grid; rows follow energies, columns k."""
+    """P(k, E) over the requested grid; rows follow energies, columns k.
+
+    Runs serially: a cell is too short for a thread pool to pay, so
+    ``threads`` is accepted and ignored.
+    """
     spec = QuadratureSpec(abs_tol=request.tolerance)
-    cells = [
-        (i, j, e, k)
-        for i, e in enumerate(request.energy_values)
-        for j, k in enumerate(request.k_values)
-    ]
-
-    def cell(task):
-        i, j, e, k = task
-        return i, j, p_steiner(k, pair_length(e, k), spec).value
-
     grid = np.empty((len(request.energy_values), len(request.k_values)))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(cell, cells))
-    else:
-        results = [cell(t) for t in cells]
-    for i, j, value in results:
-        grid[i, j] = value
+    for i, e in enumerate(request.energy_values):
+        for j, k in enumerate(request.k_values):
+            grid[i, j] = p_steiner(k, pair_length(e, k), spec).value
     return grid
 
 

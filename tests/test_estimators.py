@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gausscode.analytic import p_antipodal, p_simplex
+from gausscode import estimators
 from gausscode.configs import AntipodalLengths, Configuration, embed_antipodal, regular_simplex
 from gausscode.estimators import (
     DimensionTooLargeError,
     GridCoverageError,
     HalfspaceSystem,
+    MCReport,
     PlankSystem,
     halfspace_exact,
     mc_decode,
@@ -59,6 +63,119 @@ class TestMcDecode:
     def test_validation(self):
         with pytest.raises(ValueError):
             mc_decode(PAIR, 0, seed=1)
+
+
+def distance_loop_decode(config: Configuration, samples: int, seed: int) -> MCReport:
+    """Reference: nearest-point decoding by explicit squared distances.
+
+    Point i draws from RandomStream(seed, i) in chunks of 2**19 samples and
+    counts the draws with |g|^2 strictly below |v_i + g - v_j|^2 for every
+    other distinct v_j.
+    """
+    pts = config.distinct_points()
+    probs = []
+    for i in range(pts.shape[0]):
+        stream = RandomStream(seed, i)
+        hits = 0
+        done = 0
+        while done < samples:
+            m = min(1 << 19, samples - done)
+            g = stream.normal((m, config.dimension))
+            d_own = np.einsum("ij,ij->i", g, g)
+            x = pts[i] + g
+            d_other = np.full(m, np.inf)
+            for j in range(pts.shape[0]):
+                if j != i:
+                    diff = x - pts[j]
+                    np.minimum(d_other, np.einsum("ij,ij->i", diff, diff), out=d_other)
+            hits += int(np.count_nonzero(d_own < d_other))
+            done += m
+        probs.append(hits / samples)
+    variance = float(np.sum([p * (1.0 - p) / samples for p in probs]))
+    return MCReport(float(np.sum(probs)), float(np.sqrt(variance)), samples, seed)
+
+
+@st.composite
+def small_configurations(draw):
+    """Dimensions 1-4, up to 8 points on a 0.1 lattice, maybe the origin and a duplicate."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    coordinate = st.integers(min_value=-20, max_value=20).map(lambda c: c / 10)
+    points = draw(st.lists(st.lists(coordinate, min_size=n, max_size=n),
+                           min_size=1, max_size=6))
+    if draw(st.booleans()):
+        points.append([0.0] * n)
+    if draw(st.booleans()):
+        points.append(list(points[0]))
+    return Configuration(n, points)
+
+
+class TestHalfspaceForm:
+    """mc_decode tests each Voronoi cell as an intersection of halfspaces;
+    it must count exactly the hits of the explicit distance comparison."""
+
+    @given(small_configurations(), st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_distance_loop(self, config, seed):
+        assert mc_decode(config, 3_000, seed) == distance_loop_decode(config, 3_000, seed)
+
+    def test_matches_distance_loop_across_chunks(self):
+        config = Configuration(2, [[0.9, 0.1], [-0.4, 0.8], [0.0, -1.1]])
+        assert mc_decode(config, 600_000, 9) == distance_loop_decode(config, 600_000, 9)
+
+    def test_exact_tie_counts_as_incorrect(self, monkeypatch):
+        class OnesStream:
+            def __init__(self, seed, index):
+                pass
+
+            def normal(self, shape):
+                return np.ones(shape)
+
+        # g = 1 puts the noise from 0 exactly on the wall at 1; from 2 it
+        # lands at 3, well inside its own cell.
+        monkeypatch.setattr(estimators, "RandomStream", OnesStream)
+        assert mc_decode(Configuration(1, [[0.0], [2.0]]), 10, seed=0).estimate == 1.0
+
+
+class TestFrozenEstimates:
+    """Exact Monte Carlo estimates, frozen before the halfspace form and the
+    shared chunk loop: (estimate, std_error) reprs."""
+
+    LATTICE = Configuration(2, [[0.1, 0.2], [0.3, 0.0], [0.0, 0.0], [0.2, 0.1],
+                                [0.1 + 0.2, 0.1], [0.7, 0.3]])
+
+    @pytest.mark.parametrize("config,samples,seed,want", [
+        pytest.param(
+            embed_antipodal(AntipodalLengths((0.6, 0.8, 1.0, 1.1, 1.3, 1.6), True)),
+            100_000, 7, ("4.137619999999999", "0.00498505739826534"),
+            id="six-pairs-and-origin"),
+        pytest.param(regular_simplex(7, 1.5), 100_000, 8,
+                     ("4.336869999999999", "0.004061943316812779"), id="7-simplex"),
+        pytest.param(PAIR, 200_000, 3, ("1.683185", "0.0011546173032113282"), id="pair"),
+        pytest.param(PAIR, 600_000, 4, ("1.6841616666666668", "0.0006657844845486719"),
+                     id="pair-two-chunks"),
+        pytest.param(Configuration(3, [[0.5, -0.2, 1.0]]), 1000, 1, ("1.0", "0.0"),
+                     id="one-point"),
+        pytest.param(Configuration(2, [[1.0, 0.0], [1.0, 0.0], [-1.0, 0.5]]), 50_000, 2,
+                     ("1.69854", "0.0022628332523630633"), id="coincident"),
+        pytest.param(LATTICE, 100_000, 5, ("1.33966", "0.002872732110726651"),
+                     id="0.1-lattice"),
+    ])
+    def test_mc_decode(self, config, samples, seed, want):
+        report = mc_decode(config, samples, seed)
+        assert (repr(report.estimate), repr(report.std_error)) == want
+
+    def test_plank_product_gap(self):
+        system = PlankSystem([[1.0, 0.0], [np.cos(0.5), np.sin(0.5)]], [0.8, 1.1])
+        report, product = plank_product_gap(system, 600_000, seed=3)
+        assert repr(report.estimate) == "0.5340083333333333"
+        assert repr(report.std_error) == "0.0006440023722315119"
+        assert repr(product) == "0.4199234306045825"
+
+    def test_measure_union(self):
+        system = HalfspaceSystem([[1.0, 0.0], [-0.5, 2.0]], [0.3, 0.4])
+        report = measure_union(system, 600_000, seed=6)
+        assert repr(report.estimate) == "0.6302766666666667"
+        assert repr(report.std_error) == "0.0006232013988567717"
 
 
 class TestPDirect:

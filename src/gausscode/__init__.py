@@ -31,9 +31,7 @@ from .estimators import (
     HalfspaceSystem,
     MCReport,
     PlankSystem,
-    halfspace_exact,
     mc_decode,
-    measure_union,
     p_direct,
     plank_product_gap,
     slice_identity_check,
@@ -43,7 +41,6 @@ from .gaussian import (
     QuadratureSpec,
     RandomStream,
     integrate_gauss_tail,
-    next_gaussian,
     normal_cdf,
     normal_pdf,
 )
@@ -51,7 +48,6 @@ from .optimize import (
     OptimResult,
     OptimSettings,
     basin_hop,
-    local_refine,
     objective,
     threshold_scan,
 )
@@ -77,13 +73,9 @@ __all__ = [
     "basin_hop",
     "embed_antipodal",
     "energy",
-    "halfspace_exact",
     "integrate_gauss_tail",
     "load_configuration",
-    "local_refine",
     "mc_decode",
-    "measure_union",
-    "next_gaussian",
     "normal_cdf",
     "normal_pdf",
     "objective",

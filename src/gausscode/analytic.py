@@ -63,9 +63,7 @@ from .gaussian import (
 )
 
 METHOD_ANALYTIC = "analytic"
-METHOD_MONTECARLO = "montecarlo"
 METHOD_DIRECT = "direct"
-METHOD_SLICING = "slicing"
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
-"""Command-line surface: evaluate, tabulate, optimize, compare, check.
+"""Command-line surface: evaluate, tabulate, optimize, scan, compare, check.
 
 Exit codes: 0 on success, 1 on runtime or file errors, 2 on usage errors.
-Monte Carlo and optimizer commands are bit-reproducible for a fixed seed
-regardless of ``--threads``.
+Monte Carlo and optimizer commands are bit-reproducible for a fixed seed.
+``eval mc`` and ``check`` spread their Monte Carlo work over ``--threads``
+worker threads, with the same result for any thread count; ``table``
+accepts ``--threads`` and ignores it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .estimators import (
     slice_identity_check,
 )
 from .gaussian import QuadratureError, QuadratureSpec, RandomStream
-from .optimize import OptimSettings, basin_hop
+from .optimize import OptimSettings, basin_hop, threshold_scan
 from .reporting import (
     FORMAT_CSV,
     FORMAT_TEXT,
@@ -36,6 +38,7 @@ from .reporting import (
     KIND_STEINER,
     STEINER_ENERGY_GRID,
     STEINER_K_GRID,
+    THRESHOLD_ENERGY_GRIDS,
     TableRequest,
     optimize_rows,
     pair_length,
@@ -133,7 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     tb.add_argument("--tol", type=float, default=1e-10)
     tb.add_argument("--out", required=True)
     tb.add_argument("--format", choices=[FORMAT_CSV, FORMAT_TEXT], default=FORMAT_CSV)
-    tb.add_argument("--threads", type=_parse_threads, default=_threads_default())
+    tb.add_argument("--threads", type=_parse_threads, default=_threads_default(),
+                    help="accepted and ignored; tables are computed serially")
     tb.add_argument("--hops", type=int, default=200)
     tb.add_argument("--seed", type=int, default=0)
 
@@ -143,11 +147,16 @@ def build_parser() -> argparse.ArgumentParser:
     op.add_argument("--energy", type=float, required=True)
     op.add_argument("--hops", type=int, default=200)
     op.add_argument("--seed", type=int, default=0)
-    op.add_argument("--perturbation-scale", type=float, default=0.3)
-    op.add_argument("--local-tol", type=float, default=1e-9)
-    op.add_argument("--zero-floor", type=float, default=1e-6)
     op.add_argument("--tol", type=float, default=1e-10)
-    op.add_argument("--threads", type=_parse_threads, default=_threads_default())
+
+    # scan ----------------------------------------------------------------
+    sc = sub.add_parser(
+        "scan", help="energy from which the optimum stays all-equal, per k"
+    )
+    sc.add_argument("--k-values", type=_parse_ints,
+                    default=tuple(THRESHOLD_ENERGY_GRIDS))
+    sc.add_argument("--hops", type=int, default=60)
+    sc.add_argument("--seed", type=int, default=1)
 
     # compare -------------------------------------------------------------
     cp = sub.add_parser(
@@ -221,11 +230,10 @@ def cmd_table(args) -> int:
     request = TableRequest(kind, tuple(k_values), tuple(energies),
                            args.tol, args.format)
     if kind == KIND_STEINER:
-        text = render_steiner(request, steiner_grid(request, threads=args.threads))
+        text = render_steiner(request, steiner_grid(request))
     else:
         settings = OptimSettings(hops=args.hops, seed=args.seed)
-        rows = optimize_rows(request, settings, threads=args.threads)
-        text = render_optimize(request, rows)
+        text = render_optimize(request, optimize_rows(request, settings))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
     print(f"wrote {args.out}")
@@ -233,22 +241,30 @@ def cmd_table(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    settings = OptimSettings(
-        hops=args.hops,
-        perturbation_scale=args.perturbation_scale,
-        local_tol=args.local_tol,
-        zero_floor=args.zero_floor,
-        seed=args.seed,
-    )
+    settings = OptimSettings(hops=args.hops, seed=args.seed)
     spec = QuadratureSpec(abs_tol=args.tol)
-    result = basin_hop(args.k, EnergyBudget(args.energy), settings, spec,
-                       threads=args.threads)
+    result = basin_hop(args.k, EnergyBudget(args.energy), settings, spec)
     print("lengths: " + ", ".join(repr(a) for a in result.lengths))
     print("display: " + ", ".join(f"{a:.3f}" for a in result.lengths))
     print(f"p_value: {result.p_value!r}")
     print(f"hops_taken: {result.hops_taken}")
     print(f"improved_at: {list(result.improved_at)}")
     print(f"converged: {result.converged}")
+    return 0
+
+
+def cmd_scan(args) -> int:
+    """Per k, the grid energy from which the optimized lengths stay all-equal."""
+    if not args.k_values or any(k not in THRESHOLD_ENERGY_GRIDS for k in args.k_values):
+        known = ", ".join(str(k) for k in THRESHOLD_ENERGY_GRIDS)
+        got = ", ".join(str(k) for k in args.k_values) or "none"
+        raise UsageError(f"--k-values must be among the k with energy grids "
+                         f"({known}), got {got}")
+    settings = OptimSettings(hops=args.hops, seed=args.seed)
+    for k in args.k_values:
+        grid = list(THRESHOLD_ENERGY_GRIDS[k])
+        threshold = threshold_scan(k, grid, settings)
+        print(f"k = {k}: all-equal from E = {threshold} on the grid {grid}")
     return 0
 
 
@@ -276,6 +292,11 @@ def cmd_compare(args) -> int:
     return 0
 
 
+# The slicing checks pass within 0.02, so direct integration needs far less
+# than its 1e-7 default: at 1e-5 the 2-D case takes ~0.4 s instead of ~10 s.
+_CHECK_DIRECT_SPEC = QuadratureSpec(abs_tol=1e-5)
+
+
 def cmd_check(args) -> int:
     """Slicing-identity and plank-product spot checks; nonzero exit on failure."""
     from .configs import Configuration
@@ -298,7 +319,8 @@ def cmd_check(args) -> int:
         recon = slice_identity_check(config, y_grid, args.samples, args.seed,
                                      threads=args.threads)
         direct = p_direct(
-            Configuration(config.dimension, config.points * np.sqrt(2.0))
+            Configuration(config.dimension, config.points * np.sqrt(2.0)),
+            _CHECK_DIRECT_SPEC,
         ).value
         ok = abs(recon - direct) < 0.02
         report(f"slicing identity #{idx}", ok,
@@ -334,6 +356,7 @@ def main(argv=None) -> int:
         "eval": cmd_eval,
         "table": cmd_table,
         "optimize": cmd_optimize,
+        "scan": cmd_scan,
         "compare": cmd_compare,
         "check": cmd_check,
     }

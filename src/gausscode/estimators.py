@@ -84,16 +84,12 @@ class HalfspaceSystem:
         offsets = np.atleast_1d(np.asarray(self.offsets, dtype=float))
         if normals.shape[0] != offsets.shape[0]:
             raise ValueError("one offset per normal required")
-        if normals.shape[0] and not np.all(np.linalg.norm(normals, axis=1) > 0):
+        if not np.all(np.linalg.norm(normals, axis=1) > 0):
             raise ValueError("all normals must be nonzero")
         if not np.all(np.isfinite(offsets)):
             raise ValueError("all offsets must be finite")
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "offsets", offsets)
-
-    @classmethod
-    def empty(cls, dimension: int) -> "HalfspaceSystem":
-        return cls(np.empty((0, dimension)), np.empty(0))
 
     @classmethod
     def at_level(cls, config: Configuration, y: float) -> "HalfspaceSystem":
@@ -110,10 +106,6 @@ class HalfspaceSystem:
         if np.any(norms2 == 0):
             raise ValueError("configurations with a point at the origin not supported")
         return cls(2.0 * pts, np.log(y) + norms2)
-
-    @property
-    def size(self) -> int:
-        return self.normals.shape[0]
 
 
 @dataclass(frozen=True)
@@ -250,34 +242,17 @@ def p_direct(config: Configuration, spec: QuadratureSpec | None = None):
     return ProbEstimate(value, METHOD_DIRECT, target)
 
 
-def halfspace_exact(normal: np.ndarray, offset: float) -> float:
-    """Exact variance-1/2 Gaussian measure of one halfspace {w . x >= c}."""
-    scale = float(np.linalg.norm(normal)) / np.sqrt(2.0)
-    return float(1.0 - ndtr(offset / scale))
-
-
 def measure_union_stream(
     system: HalfspaceSystem, samples: int, stream: RandomStream
 ) -> float:
-    """Like :func:`measure_union` but drawing from a caller-owned stream."""
+    """Monte Carlo measure of a union of halfspaces under the variance-1/2
+    Gaussian, drawing from a caller-owned stream."""
 
     def inside(g: np.ndarray) -> np.ndarray:
         x = g / np.sqrt(2.0)
         return (x @ system.normals.T >= system.offsets).any(axis=1)
 
     return _hit_fraction(stream, samples, system.normals.shape[1], inside)
-
-
-def measure_union(
-    system: HalfspaceSystem, samples: int, seed: int
-) -> MCReport:
-    """Monte Carlo measure of a union of halfspaces under the variance-1/2 Gaussian."""
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if system.size == 0:
-        return MCReport(0.0, 0.0, samples, seed)
-    p = measure_union_stream(system, samples, RandomStream(seed, 0))
-    return MCReport(p, float(np.sqrt(p * (1.0 - p) / samples)), samples, seed)
 
 
 def slice_identity_check(

@@ -18,9 +18,9 @@ from scipy.special import ndtr
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-# Default truncation of semi-infinite Gaussian-weighted integrals, in
-# standard deviations past the weight's center.  The neglected tail mass
-# for |f| <= 1 is below 1e-16, under every tolerance used in the package.
+# Truncation of semi-infinite Gaussian-weighted integrals, in standard
+# deviations past the weight's center.  The neglected tail mass for
+# |f| <= 1 is below 1e-16, under every tolerance used in the package.
 TAIL_SIGMAS = 8.5
 
 # 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1].
@@ -169,17 +169,16 @@ def integrate_gauss_tail(
     lower: float,
     center: float,
     spec: QuadratureSpec | None = None,
-    tail_sigmas: float = TAIL_SIGMAS,
 ) -> float:
     """Integral of normal_pdf(t - center) * f(t) over [lower, +inf).
 
     ``f`` must be vectorized and bounded by 1 in absolute value; under that
     bound the semi-infinite range may be truncated at ``center +
-    tail_sigmas`` (tail mass < 1e-16 at the default 8.5), after which the
-    finite interval is integrated adaptively to ``spec.abs_tol``.
+    TAIL_SIGMAS`` (tail mass < 1e-16), after which the finite interval is
+    integrated adaptively to ``spec.abs_tol``.
     """
     spec = spec or DEFAULT_QUADRATURE
-    hi = center + tail_sigmas
+    hi = center + TAIL_SIGMAS
     if lower >= hi:
         return 0.0
 
@@ -213,8 +212,3 @@ class RandomStream:
     def normal(self, shape=None) -> np.ndarray:
         """Draw standard normal variates, advancing the stream."""
         return self._gen.standard_normal(shape)
-
-
-def next_gaussian(stream: RandomStream) -> float:
-    """One standard normal variate from ``stream``, advancing it."""
-    return float(stream.normal())

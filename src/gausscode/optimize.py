@@ -20,27 +20,24 @@ from .configs import AntipodalLengths, EnergyBudget
 from .gaussian import QuadratureSpec, RandomStream
 
 
+# Scale of the Gaussian share kick of each basin hop.
+_PERTURBATION_SCALE = 0.3
+# Nelder-Mead stops once its vertex values agree to this.
+_LOCAL_TOL = 1e-9
+# Pairs at or below this length merge into the origin.
+_ZERO_FLOOR = 1e-6
+
+
 @dataclass(frozen=True)
 class OptimSettings:
-    """Basin-hopping knobs; defaults are tuned for the k <= 6 tables."""
+    """Basin-hopping knobs: the number of random hops and their seed."""
 
     hops: int = 200
-    perturbation_scale: float = 0.3
-    local_tol: float = 1e-9
-    zero_floor: float = 1e-6
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.hops < 1:
             raise ValueError(f"hops must be >= 1, got {self.hops}")
-        if not 0 < self.perturbation_scale <= 1:
-            raise ValueError(
-                f"perturbation_scale must be in (0, 1], got {self.perturbation_scale}"
-            )
-        if not self.local_tol > 0:
-            raise ValueError(f"local_tol must be positive, got {self.local_tol}")
-        if self.zero_floor < 0:
-            raise ValueError(f"zero_floor must be >= 0, got {self.zero_floor}")
 
 
 @dataclass(frozen=True)
@@ -58,15 +55,13 @@ def objective(
     lengths,
     include_origin: bool = False,
     spec: QuadratureSpec | None = None,
-    zero_floor: float = 1e-6,
 ) -> float:
     """P of the configuration given by pair lengths, merging zeros to the origin.
 
-    Pairs with length <= ``zero_floor`` put both their vectors at the
-    origin, which counts as a single origin point regardless of how many
-    pairs collapse.
+    Pairs with length <= 1e-6 put both their vectors at the origin, which
+    counts as a single origin point regardless of how many pairs collapse.
     """
-    active = [float(a) for a in lengths if a > zero_floor]
+    active = [float(a) for a in lengths if a > _ZERO_FLOOR]
     if not active:
         raise ValueError("at least one pair length must exceed the zero floor")
     merged = include_origin or len(active) < len(lengths)
@@ -86,7 +81,7 @@ def _lengths(shares: np.ndarray, total_energy: float) -> np.ndarray:
     return np.sqrt(shares * (0.5 * total_energy))
 
 
-def _nelder_mead(f, t0: np.ndarray, local_tol: float, max_iter: int):
+def _nelder_mead(f, t0: np.ndarray, max_iter: int):
     """Minimize f over R^d by Nelder-Mead; returns (t_best, f_best, converged)."""
     d = t0.size
     verts = [t0]
@@ -100,7 +95,7 @@ def _nelder_mead(f, t0: np.ndarray, local_tol: float, max_iter: int):
     for _ in range(max_iter):
         order = np.argsort(vals, kind="stable")
         verts, vals = verts[order], vals[order]
-        if vals[-1] - vals[0] <= local_tol:
+        if vals[-1] - vals[0] <= _LOCAL_TOL:
             converged = True
             break
         centroid = verts[:-1].mean(axis=0)
@@ -127,42 +122,8 @@ def _nelder_mead(f, t0: np.ndarray, local_tol: float, max_iter: int):
     return verts[order[0]], vals[order[0]], converged
 
 
-def local_refine(
-    lengths,
-    energy: EnergyBudget,
-    settings: OptimSettings | None = None,
-    spec: QuadratureSpec | None = None,
-) -> OptimResult:
-    """Refine pair lengths to a local maximum of P at the given energy.
-
-    The start must already satisfy the energy constraint to 1e-6 relative;
-    refinement moves on the share simplex, so every candidate it evaluates
-    is exactly feasible.
-    """
-    settings = settings or OptimSettings()
-    a0 = np.asarray([float(a) for a in lengths], dtype=float)
-    if np.any(a0 < 0):
-        raise ValueError("pair lengths must be nonnegative")
-    e0 = float(2.0 * (a0**2).sum())
-    if abs(e0 - energy.total) > 1e-6 * energy.total:
-        raise ValueError(
-            f"start is infeasible: energy {e0:g} differs from {energy.total:g}"
-        )
-    shares0 = 2.0 * a0**2 / energy.total
-    shares0 /= shares0.sum()
-    shares, p_value, converged = _refine_shares(
-        shares0, energy.total, settings, spec
-    )
-    final = _snap_sorted(shares, energy.total, settings.zero_floor)
-    p_final = objective(final, False, spec, settings.zero_floor)
-    return OptimResult(final, p_final, 0, (), converged)
-
-
 def _refine_shares(
-    shares0: np.ndarray,
-    total_energy: float,
-    settings: OptimSettings,
-    spec: QuadratureSpec | None,
+    shares0: np.ndarray, total_energy: float, spec: QuadratureSpec | None
 ):
     """Nelder-Mead ascent of P from a share vector; returns (shares, P, converged).
 
@@ -171,28 +132,24 @@ def _refine_shares(
     """
     k = shares0.size
     if k == 1:
-        only = objective([np.sqrt(total_energy / 2.0)], False, spec, settings.zero_floor)
+        only = objective([np.sqrt(total_energy / 2.0)], False, spec)
         return np.array([1.0]), only, True
     shares0 = np.sort(shares0)[::-1]
     shares0 = shares0 / shares0.sum()
 
     def neg_p(t: np.ndarray) -> float:
         s = _project(t)
-        return -objective(
-            _lengths(s, total_energy), False, spec, settings.zero_floor
-        )
+        return -objective(_lengths(s, total_energy), False, spec)
 
     t_best, f_best, converged = _nelder_mead(
-        neg_p, shares0[:-1].copy(), settings.local_tol, max_iter=100 * k
+        neg_p, shares0[:-1].copy(), max_iter=100 * k
     )
     return _project(t_best), -f_best, converged
 
 
-def _snap_sorted(
-    shares: np.ndarray, total_energy: float, zero_floor: float
-) -> tuple[float, ...]:
+def _snap_sorted(shares: np.ndarray, total_energy: float) -> tuple[float, ...]:
     lengths = _lengths(shares, total_energy)
-    lengths[lengths <= zero_floor] = 0.0
+    lengths[lengths <= _ZERO_FLOOR] = 0.0
     return tuple(float(a) for a in np.sort(lengths)[::-1])
 
 
@@ -213,7 +170,6 @@ def _boundary_polish(
     shares: np.ndarray,
     p: float,
     total_energy: float,
-    settings: OptimSettings,
     spec: QuadratureSpec | None,
 ):
     """Probe zeroed pairs with tiny shares; several optima keep one genuinely
@@ -221,7 +177,7 @@ def _boundary_polish(
     collapsed onto the boundary face cannot see on its own.  Each improving
     probe is refined before the next round; P increases strictly, so the
     loop terminates."""
-    floor_share = 2.0 * settings.zero_floor**2 / total_energy
+    floor_share = 2.0 * _ZERO_FLOOR**2 / total_energy
     improved = True
     while improved:
         improved = False
@@ -235,13 +191,11 @@ def _boundary_polish(
                 cand = (1.0 - delta) * cand / cand.sum()
                 cand[i] = delta
                 probes.append(
-                    (objective(_lengths(cand, total_energy), False, spec,
-                               settings.zero_floor), cand)
+                    (objective(_lengths(cand, total_energy), False, spec), cand)
                 )
             best_probe = max(probes, key=lambda item: item[0])
             if best_probe[0] > p:
-                shares, p, _ = _refine_shares(best_probe[1], total_energy,
-                                              settings, spec)
+                shares, p, _ = _refine_shares(best_probe[1], total_energy, spec)
                 improved = True
     return shares, p
 
@@ -258,18 +212,18 @@ def basin_hop(
     Structured starts (hop indices 0..k-1) cover the discrete choice of
     how many pairs are active; the remaining ``settings.hops`` hops kick
     the incumbent's shares by a symmetric Gaussian perturbation of scale
-    ``perturbation_scale``, renormalize, refine, and accept only strict
-    improvements.  Ties prefer the lexicographically smallest sorted
-    lengths, so the result is independent of how starts are scheduled.
-    Runs serially: a refinement is too short for a thread pool to pay, so
-    ``threads`` is accepted and ignored.
+    0.3, renormalize, refine, and accept only strict improvements.  Ties
+    prefer the lexicographically smallest sorted lengths, so the result is
+    independent of how starts are scheduled.  Runs serially: a refinement
+    is too short for a thread pool to pay.  ``threads`` is accepted and
+    ignored only because the benchmark still passes ``threads=1``.
     """
     settings = settings or OptimSettings()
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
 
     def refine_from(shares):
-        return _refine_shares(shares, energy.total, settings, spec)
+        return _refine_shares(shares, energy.total, spec)
 
     starts = _structured_starts(k)
     refined = [refine_from(s) for s in starts]
@@ -280,7 +234,7 @@ def basin_hop(
     best_conv = False
     improved_at: list[int] = []
     for hop_index, (shares, p, conv) in enumerate(refined):
-        key = _snap_sorted(shares, energy.total, settings.zero_floor)
+        key = _snap_sorted(shares, energy.total)
         if p > best_p or (p == best_p and (best_key is None or key < best_key)):
             if p > best_p:
                 improved_at.append(hop_index)
@@ -288,7 +242,7 @@ def basin_hop(
 
     stream = RandomStream(settings.seed, 0)
     for hop in range(settings.hops):
-        kick = settings.perturbation_scale * stream.normal(k)
+        kick = _PERTURBATION_SCALE * stream.normal(k)
         cand = best_shares + kick
         np.clip(cand, 0.0, None, out=cand)
         if cand.sum() == 0.0:
@@ -297,14 +251,12 @@ def basin_hop(
         shares, p, conv = refine_from(cand)
         if p > best_p:
             best_shares, best_p, best_conv = shares, p, conv
-            best_key = _snap_sorted(shares, energy.total, settings.zero_floor)
+            best_key = _snap_sorted(shares, energy.total)
             improved_at.append(len(starts) + hop)
 
-    best_shares, best_p = _boundary_polish(
-        best_shares, best_p, energy.total, settings, spec
-    )
-    final = _snap_sorted(best_shares, energy.total, settings.zero_floor)
-    p_final = objective(final, False, spec, settings.zero_floor)
+    best_shares, best_p = _boundary_polish(best_shares, best_p, energy.total, spec)
+    final = _snap_sorted(best_shares, energy.total)
+    p_final = objective(final, False, spec)
     achieved = 2.0 * float(np.sum(np.square(final)))
     if abs(achieved - energy.total) > 1e-9 * energy.total:
         raise RuntimeError(
@@ -320,7 +272,6 @@ def threshold_scan(
     e_grid,
     settings: OptimSettings | None = None,
     spec: QuadratureSpec | None = None,
-    threads: int = 1,
 ) -> float | None:
     """Smallest grid energy from which the optimum stays all-equal upward.
 
@@ -342,7 +293,7 @@ def threshold_scan(
 
     threshold = None
     for e in energies:
-        result = basin_hop(k, EnergyBudget(e), settings, spec, threads)
+        result = basin_hop(k, EnergyBudget(e), settings, spec)
         if all_equal(result):
             if threshold is None:
                 threshold = e

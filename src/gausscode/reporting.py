@@ -32,6 +32,15 @@ STEINER_ENERGY_GRID: tuple[float, ...] = tuple(
 )
 STEINER_K_GRID: tuple[int, ...] = tuple(range(1, 21))
 
+# Energies of the published optimized-length rows, per pair count k; the
+# all-equal threshold scan runs over these.
+THRESHOLD_ENERGY_GRIDS: dict[int, tuple[float, ...]] = {
+    3: (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 20.0),
+    4: (2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 20.0),
+    5: (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0, 20.0),
+    6: (2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0, 18.0, 19.0, 20.0, 21.0),
+}
+
 KIND_STEINER = "steiner"
 KIND_OPTIMIZE = "optimize"
 FORMAT_CSV = "csv"
@@ -75,14 +84,8 @@ def pair_length(energy: float, k: int) -> float:
     return float(np.sqrt(energy / (2.0 * k)))
 
 
-def steiner_grid(
-    request: TableRequest, threads: int = 1
-) -> np.ndarray:
-    """P(k, E) over the requested grid; rows follow energies, columns k.
-
-    Runs serially: a cell is too short for a thread pool to pay, so
-    ``threads`` is accepted and ignored.
-    """
+def steiner_grid(request: TableRequest) -> np.ndarray:
+    """P(k, E) over the requested grid; rows follow energies, columns k."""
     spec = QuadratureSpec(abs_tol=request.tolerance)
     grid = np.empty((len(request.energy_values), len(request.k_values)))
     for i, e in enumerate(request.energy_values):
@@ -92,17 +95,12 @@ def steiner_grid(
 
 
 def optimize_rows(
-    request: TableRequest,
-    settings: OptimSettings | None = None,
-    threads: int = 1,
+    request: TableRequest, settings: OptimSettings | None = None
 ) -> list[OptimResult]:
     """One basin-hopping result per requested energy, at the single requested k."""
     spec = QuadratureSpec(abs_tol=request.tolerance)
     k = request.k_values[0]
-    return [
-        basin_hop(k, EnergyBudget(e), settings, spec, threads=threads)
-        for e in request.energy_values
-    ]
+    return [basin_hop(k, EnergyBudget(e), settings, spec) for e in request.energy_values]
 
 
 def _fmt3(x: float) -> str:

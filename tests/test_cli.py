@@ -3,12 +3,15 @@ import json
 import numpy as np
 import pytest
 
+from reference_tables import OPT_TABLE_K3, OPT_TABLE_K4, OPT_TABLE_K5, OPT_TABLE_K6
+
 from gausscode.cli import main
 from gausscode.analytic import p_steiner
 from gausscode.gaussian import QuadratureSpec
 from gausscode.optimize import objective
 from gausscode.reporting import (
     STEINER_ENERGY_GRID,
+    THRESHOLD_ENERGY_GRIDS,
     TableRequest,
     pair_length,
     parse_steiner_csv,
@@ -85,7 +88,8 @@ class TestEval:
     @pytest.mark.parametrize("argv", [
         ["eval", "mc", "--config", "unused.json"],
         ["table", "--kind", "steiner", "--out", "unused.csv"],
-        ["optimize", "--k", "2", "--energy", "4.0"],
+        ["table", "--kind", "optimize", "--k-values", "2", "--energies", "4.0",
+         "--out", "unused.csv"],
         ["check"],
     ])
     @pytest.mark.parametrize("threads", ["0", "-2", "two"])
@@ -197,6 +201,39 @@ class TestTableRequest:
         assert row.split(",")[1] == "1.000"
 
 
+class TestOptimize:
+    @pytest.mark.parametrize("flag", [
+        "--threads", "--perturbation-scale", "--local-tol", "--zero-floor",
+    ])
+    def test_removed_flags_exit_2(self, capsys, flag):
+        with pytest.raises(SystemExit) as err:
+            main(["optimize", "--k", "2", "--energy", "4.0", flag, "1"])
+        assert err.value.code == 2
+        assert flag in capsys.readouterr().err
+
+
+class TestScan:
+    def test_k3_threshold_line(self, capsys):
+        code, out, _ = run(capsys, "scan", "--k-values", "3", "--hops", "5",
+                           "--seed", "1")
+        assert code == 0
+        assert out == ("k = 3: all-equal from E = 2.0 on the grid "
+                       "[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 20.0]\n")
+
+    @pytest.mark.parametrize("k_values", ["7", "3,7", ""])
+    def test_k_without_grid_exit_2(self, capsys, k_values):
+        with pytest.raises(SystemExit) as err:
+            main(["scan", "--k-values", k_values])
+        assert err.value.code == 2
+        assert "(3, 4, 5, 6)" in capsys.readouterr().err
+
+    def test_grids_are_the_published_energies(self):
+        published = {3: OPT_TABLE_K3, 4: OPT_TABLE_K4, 5: OPT_TABLE_K5, 6: OPT_TABLE_K6}
+        assert THRESHOLD_ENERGY_GRIDS == {
+            k: tuple(e for e, _ in rows) for k, rows in published.items()
+        }
+
+
 class TestCompare:
     def test_renders_both_columns(self, capsys):
         code, out, _ = run(capsys, "compare", "--m", "2", "--energies", "1.0")
@@ -231,12 +268,6 @@ class TestThreadReproducibility:
                          "--seed", "3", "--threads", "1")
         _, out4, _ = run(capsys, "eval", "mc", "--config", cfg, "--samples", "50000",
                          "--seed", "3", "--threads", "4")
-        assert out1 == out4
-
-    def test_optimize_threads(self, capsys):
-        args = ["optimize", "--k", "3", "--energy", "4.0", "--hops", "8", "--seed", "2"]
-        _, out1, _ = run(capsys, *args, "--threads", "1")
-        _, out4, _ = run(capsys, *args, "--threads", "4")
         assert out1 == out4
 
     def test_table_threads(self, capsys, tmp_path):

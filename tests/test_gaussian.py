@@ -15,7 +15,6 @@ from gausscode.gaussian import (
     integrate_adaptive,
     integrate_gauss_tail,
     integrate_many,
-    next_gaussian,
     normal_cdf,
     normal_pdf,
 )
@@ -113,8 +112,10 @@ class TestIntegrateGaussTail:
 
     def test_truncation_soundness(self):
         f = lambda t: (2 * normal_cdf(t) - 1) ** 4
-        near = integrate_gauss_tail(f, 0.3, 1.1, tail_sigmas=8.5)
-        far = integrate_gauss_tail(f, 0.3, 1.1, tail_sigmas=12.0)
+        near = integrate_gauss_tail(f, 0.3, 1.1)
+        far = integrate_adaptive(
+            lambda t: normal_pdf(t - 1.1) * f(t), 0.3, 1.1 + 12.0, 1e-10
+        )
         assert abs(near - far) < 1e-12
 
     def test_empty_range(self):
@@ -213,11 +214,11 @@ class TestRandomStream:
         assert not np.array_equal(a[:100], b[:100])
         assert abs(a.mean() - b.mean()) <= 3.0 * math.sqrt(2.0 / n)
 
-    def test_next_gaussian_advances(self):
+    def test_scalar_draws_advance(self):
         stream = RandomStream(9, 0)
-        x, y = next_gaussian(stream), next_gaussian(stream)
+        x, y = stream.normal(), stream.normal()
         assert x != y
-        assert x == next_gaussian(RandomStream(9, 0))
+        assert x == RandomStream(9, 0).normal()
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -46,6 +46,7 @@ along its own axis reduces P to one-dimensional integrals:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -106,37 +107,140 @@ def p_steiner(k: int, a: float, spec: QuadratureSpec | None = None) -> ProbEstim
     return ProbEstimate(2.0 * k * integral + cube, METHOD_ANALYTIC, spec.abs_tol)
 
 
-def _axis_cell_integrals(
-    a: np.ndarray,
-    lower: np.ndarray,
-    abs_tol_each: float,
-    max_subdivisions: int,
-) -> float:
-    """Sum over j of int_{lower_j}^{a_j + tail} phi(t - a_j) prod_{i!=j} box_i(t) dt.
+@functools.lru_cache(maxsize=None)
+def _others(k: int) -> np.ndarray:
+    """Row j lists the k - 1 pair indices i != j, in order (read-only)."""
+    others = np.array([[i for i in range(k) if i != j] for j in range(k)], dtype=int)
+    others.flags.writeable = False
+    return others
 
-    All k integrals run through one :func:`integrate_many` loop, so each
-    refinement round costs a single vectorized evaluation.  The box factor
-    for pair i at depth t is 2 Phi((a_i^2 + 2 a_j t - a_j^2)/(2 a_i)) - 1,
-    an affine argument in t precomputed as slope/intercept per (j, i).
+
+def p_pairs_batch(
+    lengths, include_origin, spec: QuadratureSpec | None = None
+) -> np.ndarray:
+    """P of each row of a (B, k) stack of orthogonal antipodal pair lengths.
+
+    A zero length is a pair collapsed onto the origin, so its row includes
+    the origin point, counted once; ``include_origin`` (a bool, or one per
+    row) adds it to rows without zeros.  Every row needs a positive length.
+    Row b's value is that of :func:`p_with_origin` or :func:`p_antipodal`
+    on its positive lengths in order, bit for bit: the axis cells of all
+    rows run through one :func:`integrate_many` loop, one group per row,
+    so each round of refinement costs a single vectorized evaluation.
     """
-    # argument_{j,i}(t) = intercept_{j,i} + slope_{j,i} * t.  Cell j's own
-    # factor (i = j) would be exactly 1, so row j keeps only the k - 1 pairs
-    # i != j, in order of i.
-    k = a.size
-    others = ~np.eye(k, dtype=bool)
-    slope = (a[:, None] / a[None, :])[others].reshape(k, k - 1)
-    intercept = (a[None, :] ** 2 - a[:, None] ** 2) / (2.0 * a[None, :])
-    intercept = intercept[others].reshape(k, k - 1)
+    a = np.array(lengths, dtype=float, ndmin=2)
+    live = a > 0
+    counts = live.sum(axis=1)
+    fewest, most = counts.min(), counts.max()
+    if not (a.min() >= 0 and np.isfinite(a.max()) and fewest > 0):
+        raise ValueError("lengths must be finite and nonnegative, with one positive per row")
+    with_origin = (counts < a.shape[1]) | include_origin
+    if fewest == most:
+        if most < a.shape[1]:
+            a = a[live].reshape(len(a), most)
+        return _pair_cells(a, counts, with_origin, spec)
+    # Rows with equal pair counts sit together, so cells with the same
+    # number of box factors are contiguous in every round.  Each row's pairs
+    # move to the front, in order, and absent ones trail as zeros.
+    by_count = np.argsort(counts, kind="stable")
+    first = np.argsort(~live[by_count], axis=1, kind="stable")[:, :most]
+    packed = a[by_count[:, None], first]
+    out = np.empty(len(a))
+    out[by_count] = _pair_cells(packed, counts[by_count], with_origin[by_count], spec)
+    return out
+
+
+def _pair_cells(
+    a: np.ndarray,
+    counts: np.ndarray,
+    with_origin: np.ndarray,
+    spec: QuadratureSpec | None,
+) -> np.ndarray:
+    """:func:`p_pairs_batch` on rows sorted by their pair count ``counts``,
+    each row's pairs first and zeros after them.
+
+    The cell of pair j is int_{lower_j}^{a_j + tail} phi(t - a_j)
+    prod_{i != j} box_i(t) dt.  The box factor of pair i at depth t is
+    2 Phi((a_i^2 + 2 a_j t - a_j^2)/(2 a_i)) - 1, an affine argument in t
+    precomputed as slope/intercept per (j, i).
+    """
+    spec = spec or DEFAULT_QUADRATURE
+    n_rows, k = a.shape
+    ragged = counts[0] < k
+    if ragged:
+        live = np.arange(k) < counts[:, None]
+        safe = np.where(live, a, 1.0)
+    else:
+        safe = a
+    # argument_{b,j,i}(t) = intercept_{b,j,i} + slope_{b,j,i} * t.  Cell j's
+    # own factor (i = j) would be exactly 1, so cell j keeps only the pairs
+    # i != j, in order of i; a row of c pairs uses the first c - 1 of them.
+    square = safe**2
+    pairs = safe[:, _others(k)]
+    slope = safe[:, :, None] / pairs
+    intercept = (pairs**2 - square[:, :, None]) / (2.0 * pairs)
+    # Cell j starts at a_j / 2 behind the origin's wall; without the origin
+    # it starts where its slice box opens, at (a_j^2 - min_i a_i^2) / (2 a_j).
+    origin_all, origin_any = bool(with_origin.all()), bool(with_origin.any())
+    if origin_all:
+        lower = 0.5 * safe
+    else:
+        nearest = (np.where(live, square, np.inf) if ragged else square).min(axis=1)
+        lower = (square - nearest[:, None]) / (2.0 * safe)
+        if origin_any:
+            lower = np.where(with_origin[:, None], 0.5 * safe, lower)
+    if ragged:
+        row = np.repeat(np.arange(n_rows), counts)
+        n_factors = counts[row] - 1
+        center, lower = a[live], lower[live]
+        slope, intercept = slope[live], intercept[live]
+    else:
+        row = np.arange(n_rows).repeat(k) if n_rows > 1 else None
+        center, lower = a.reshape(-1), lower.reshape(-1)
+        slope = slope.reshape(n_rows * k, k - 1)
+        intercept = intercept.reshape(n_rows * k, k - 1)
+    # Pairs first: the factors of one pair are then one contiguous block.
+    slope, intercept = slope.T.copy(), intercept.T.copy()
+
+    def boxes(t: np.ndarray, slope: np.ndarray, intercept: np.ndarray) -> np.ndarray:
+        # Box factors of shape (pairs, panels, 15), multiplied over the pairs
+        x = slope[:, :, None] * t
+        x += intercept[:, :, None]
+        x = ndtr(x)  # one argument: perfbench's tracer wraps ndtr(x) to count
+        x *= 2.0
+        x -= 1.0
+        return x.prod(axis=0)
 
     def integrand(t: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        args = intercept[owner][:, None, :] + slope[owner][:, None, :] * t[:, :, None]
-        factors = 2.0 * ndtr(args) - 1.0  # (panels, 15, k - 1)
-        return normal_pdf(t - a[owner][:, None]) * factors.prod(axis=2)
+        if not ragged:
+            box = boxes(t, slope[:, owner], intercept[:, owner])
+        else:
+            # Runs of panels whose cells have equally many factors
+            m = n_factors[owner]
+            cuts = (np.flatnonzero(m[1:] != m[:-1]) + 1).tolist()
+            box = np.empty(t.shape)
+            for i, j in zip([0, *cuts], [*cuts, owner.size]):
+                o, n = owner[i:j], m[i]
+                box[i:j] = boxes(t[i:j], slope[:n, o], intercept[:n, o])
+        return normal_pdf(t - center[owner][:, None]) * box
 
-    return integrate_many(
-        integrand, lower, a + TAIL_SIGMAS, abs_tol_each, max_subdivisions,
-        initial_panels=4,
+    tol_each = spec.abs_tol / (4.0 * counts)
+    total = 2.0 * integrate_many(
+        integrand, lower, center + TAIL_SIGMAS,
+        tol_each[0] if row is None else tol_each[row],
+        spec.max_subdivisions, initial_panels=4, group=row,
     )
+    if origin_all and not ragged:
+        # The origin's cell is the box with half-widths a_i / 2.
+        total += (2.0 * ndtr(0.5 * a) - 1.0).prod(axis=1)
+    elif origin_any:
+        mine = np.repeat(with_origin[:, None], k, axis=1)
+        if ragged:
+            mine &= live
+        cube = np.ones(a.shape)
+        cube[mine] = 2.0 * ndtr(0.5 * a[mine]) - 1.0
+        total = np.where(with_origin, total + cube.prod(axis=1), total)
+    return total
 
 
 def p_antipodal(
@@ -151,12 +255,9 @@ def p_antipodal(
     if lengths.include_origin:
         raise ValueError("lengths.include_origin must be False; use p_with_origin")
     spec = spec or DEFAULT_QUADRATURE
-    a = np.asarray(lengths.lengths, dtype=float)
-    k = a.size
-    lower = (a**2 - (a**2).min()) / (2.0 * a)
-    tol_each = spec.abs_tol / (4.0 * k)
-    total = 2.0 * _axis_cell_integrals(a, lower, tol_each, spec.max_subdivisions)
-    return ProbEstimate(total, METHOD_ANALYTIC, spec.abs_tol)
+    a = np.array([lengths.lengths])
+    value = _pair_cells(a, np.array([a.size]), np.array([False]), spec)[0]
+    return ProbEstimate(value, METHOD_ANALYTIC, spec.abs_tol)
 
 
 def p_with_origin(
@@ -166,13 +267,9 @@ def p_with_origin(
     if not lengths.include_origin:
         raise ValueError("lengths.include_origin must be True; use p_antipodal")
     spec = spec or DEFAULT_QUADRATURE
-    a = np.asarray(lengths.lengths, dtype=float)
-    k = a.size
-    lower = 0.5 * a
-    tol_each = spec.abs_tol / (4.0 * k)
-    total = 2.0 * _axis_cell_integrals(a, lower, tol_each, spec.max_subdivisions)
-    cube = float(np.prod(2.0 * ndtr(0.5 * a) - 1.0))
-    return ProbEstimate(total + cube, METHOD_ANALYTIC, spec.abs_tol)
+    a = np.array([lengths.lengths])
+    value = _pair_cells(a, np.array([a.size]), np.array([True]), spec)[0]
+    return ProbEstimate(value, METHOD_ANALYTIC, spec.abs_tol)
 
 
 def p_simplex(

@@ -229,10 +229,11 @@ def cmd_table(args) -> int:
             raise UsageError("optimize tables need --energies")
     request = TableRequest(kind, tuple(k_values), tuple(energies),
                            args.tol, args.format)
+    # Validated for both kinds, though only optimize tables use them.
+    settings = OptimSettings(hops=args.hops, seed=args.seed)
     if kind == KIND_STEINER:
         text = render_steiner(request, steiner_grid(request))
     else:
-        settings = OptimSettings(hops=args.hops, seed=args.seed)
         text = render_optimize(request, optimize_rows(request, settings))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -293,7 +294,7 @@ def cmd_compare(args) -> int:
 
 
 # The slicing checks pass within 0.02, so direct integration needs far less
-# than its 1e-7 default: at 1e-5 the 2-D case takes ~0.4 s instead of ~10 s.
+# than its 1e-7 default: at 1e-5 the 2-D case takes ~0.2 s instead of ~3 s.
 _CHECK_DIRECT_SPEC = QuadratureSpec(abs_tol=1e-5)
 
 

@@ -40,7 +40,7 @@ from .gaussian import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
     RandomStream,
-    integrate_adaptive,
+    integrate_many,
 )
 
 _CHUNK = 1 << 19
@@ -195,14 +195,21 @@ def _max_density(pts: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * d2.min(axis=1)) / (2.0 * np.pi) ** (n / 2.0)
 
 
+# Inner integrals run in blocks of at most this many, which bounds the
+# memory of one round of the innermost level in three dimensions.
+_DIRECT_BLOCK = 1024
+
+
 def p_direct(config: Configuration, spec: QuadratureSpec | None = None):
     """Direct quadrature of P = int max_i phi_n(x - v_i) dx for n <= 3.
 
     Integrates over the box [min coord - 9, max coord + 9] per axis
     (truncation error below 1e-18 per point), with iterated adaptive
     quadrature; inner levels run at a small fraction of the target so the
-    outer adaptive loop sees an effectively smooth integrand.  Absolute
-    error <= max(spec.abs_tol, 1e-7).
+    outer adaptive loop sees an effectively smooth integrand.  Each round
+    of a level integrates the next level at all of its nodes in one
+    :func:`integrate_many` loop, one group per node.  Absolute error <=
+    max(spec.abs_tol, 1e-7).
     """
     spec = spec or DEFAULT_QUADRATURE
     n = config.dimension
@@ -216,29 +223,29 @@ def p_direct(config: Configuration, spec: QuadratureSpec | None = None):
     his = pts.max(axis=0) + 9.0
     widths = his - los
 
-    def level(axis: int, prefix: tuple[float, ...], tol: float) -> float:
-        if axis == n - 1:
-            def f(x: np.ndarray):
-                flat = x.reshape(-1)
-                queries = np.empty((flat.size, n))
-                queries[:, :axis] = prefix
-                queries[:, axis] = flat
-                return _max_density(pts, queries).reshape(x.shape)
-        else:
-            inner_tol = tol / (4.0 * widths[axis])
+    def level(axis: int, prefixes: np.ndarray, tol: float) -> np.ndarray:
+        """Integrals over coordinate ``axis``, one per row of ``prefixes``
+        (the coordinates before it)."""
+        inner_tol = tol / (4.0 * widths[axis])
 
-            def f(x: np.ndarray):
-                flat = x.reshape(-1)
-                vals = np.array(
-                    [level(axis + 1, prefix + (xi,), inner_tol) for xi in flat]
-                )
-                return vals.reshape(x.shape)
+        def f(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
+            points = np.empty((x.size, axis + 1))
+            points[:, :axis] = prefixes[owner].repeat(x.shape[1], axis=0)
+            points[:, axis] = x.reshape(-1)
+            if axis == n - 1:
+                return _max_density(pts, points).reshape(x.shape)
+            return np.concatenate([
+                level(axis + 1, points[i : i + _DIRECT_BLOCK], inner_tol)
+                for i in range(0, len(points), _DIRECT_BLOCK)
+            ]).reshape(x.shape)
 
-        return integrate_adaptive(
-            f, los[axis], his[axis], tol, spec.max_subdivisions
+        m = len(prefixes)
+        return integrate_many(
+            f, np.full(m, los[axis]), np.full(m, his[axis]), tol,
+            spec.max_subdivisions, group=np.arange(m),
         )
 
-    value = level(0, (), target / 2.0)
+    value = level(0, np.empty((1, 0)), target / 2.0)[0]
     return ProbEstimate(value, METHOD_DIRECT, target)
 
 

@@ -95,24 +95,35 @@ def integrate_many(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     lo: np.ndarray,
     hi: np.ndarray,
-    abs_tol_each: float,
+    abs_tol_each,
     max_subdivisions: int = 2000,
     initial_panels: int = 8,
-) -> float:
-    """Sum over j of the integrals of a vectorized ``f`` over [lo_j, hi_j].
+    group: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per-group sums of the integrals of a vectorized ``f`` over [lo_j, hi_j].
 
     Adaptive bisection with a 15-point Gauss-Kronrod rule per panel; the
     |K15 - G7| discrepancy is the (conservative) panel error estimate, and a
     panel is accepted once its estimate fits its width-proportional share of
-    ``abs_tol_each`` within its own interval, which must have hi_j > lo_j.
-    Each round evaluates every pending panel of every integral in one call
-    ``f(t, owner)``: ``t`` holds the nodes, shape (panels, 15), and
-    ``owner`` the index j of the integral each panel belongs to.  Raises
-    :class:`QuadratureError` when more than ``max_subdivisions`` panel
-    splits are needed in total.
+    ``abs_tol_each`` (a scalar, or one value per integral) within its own
+    interval, which must have hi_j > lo_j.  Each round evaluates every
+    pending panel of every integral in one call ``f(t, owner)``: ``t`` holds
+    the nodes, shape (panels, 15), and ``owner`` the index j of the integral
+    each panel belongs to.
+
+    Integral j adds to total ``group[j]`` (default: one group, 0), and the
+    result holds the totals of groups 0..max(group).  A group is computed
+    exactly as a call on its integrals alone would compute it, bit for bit:
+    its accepted panels are summed in that call's order, and it raises
+    :class:`QuadratureError` when that call would, once the group needs more
+    than ``max_subdivisions`` panel splits.  ``f`` sees the panels sorted
+    by group, each group's in that call's order.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
+    tol = np.asarray(abs_tol_each, dtype=float)
+    tol_scalar = float(tol) if tol.ndim == 0 else None
+    n_groups = 1 if group is None else int(group.max()) + 1
     widths = hi - lo
     # The values of np.linspace(lo, hi, initial_panels + 1, axis=1), at less
     # overhead per call.
@@ -122,30 +133,69 @@ def integrate_many(
     owner = np.arange(lo.size).repeat(initial_panels)
     a = edges[:, :-1].reshape(-1)
     b = edges[:, 1:].reshape(-1)
-    total = 0.0
-    n_splits = 0
+    totals = np.zeros(n_groups)
+    splits = np.zeros(n_groups, dtype=int) if n_groups > 1 else None
+    worst = 0  # the most splits any one group has needed
     while owner.size:
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        y = f(mid[:, None] + half[:, None] * _XK, owner)
+        if n_groups > 1:
+            # A stable sort keeps each group's panels in their one-group order.
+            order = np.argsort(group[owner], kind="stable")
+            owner, a, b = owner[order], a[order], b[order]
+        width = b - a
+        half = 0.5 * width
+        y = f((0.5 * (a + b))[:, None] + half[:, None] * _XK, owner)
         k15 = (y * _WK).sum(axis=1) * half
         g7 = (y[:, 1::2] * _WG).sum(axis=1) * half
-        err = np.abs(k15 - g7)
-        ok = err <= abs_tol_each * (b - a) / widths[owner]
-        total += float(k15[ok].sum())
+        panel_tol = tol_scalar if tol_scalar is not None else tol[owner]
+        ok = np.abs(k15 - g7) <= panel_tol * width / widths[owner]
         bad = ~ok
-        owner, a, b = owner[bad], a[bad], b[bad]
-        n_splits += owner.size
-        if n_splits > max_subdivisions:
+        if n_groups == 1:
+            totals[0] += k15[ok].sum()
+            owner, a, b = owner[bad], a[bad], b[bad]
+            worst += owner.size
+        else:
+            _add_by_group(totals, k15[ok], group[owner[ok]])
+            owner, a, b = owner[bad], a[bad], b[bad]
+            splits += np.bincount(group[owner], minlength=n_groups)
+            worst = splits.max()
+        if worst > max_subdivisions:
+            mine = slice(None) if n_groups == 1 else group == splits.argmax()
             raise QuadratureError(
                 f"needed more than {max_subdivisions} subdivisions on "
-                f"{lo.size} interval(s) within [{lo.min()}, {hi.max()}] "
-                f"for abs_tol={abs_tol_each}"
+                f"{lo[mine].size} interval(s) within "
+                f"[{lo[mine].min()}, {hi[mine].max()}] "
+                f"for abs_tol={np.broadcast_to(tol, lo.shape)[mine].min()}"
             )
+        if not owner.size:
+            break
         m = 0.5 * (a + b)
         owner = np.concatenate([owner, owner])
         a, b = np.concatenate([a, m]), np.concatenate([m, b])
-    return total
+    return totals
+
+
+def _add_by_group(totals: np.ndarray, values: np.ndarray, group: np.ndarray) -> None:
+    """totals[g] += the sum of the values of group g, for ``group`` sorted.
+
+    Each group's values are summed as one contiguous row by NumPy's
+    pairwise ``sum``, so the rounding is that of a one-group call.  Past a
+    few dozen groups, groups with equally many values share one row-wise
+    ``sum(axis=1)``.  ``np.add.reduceat`` and ``np.bincount`` sum in another
+    order and are not bit-identical to it.
+    """
+    if not values.size:
+        return
+    cuts = np.flatnonzero(group[1:] != group[:-1]) + 1
+    if cuts.size < 32:
+        bounds = [0, *cuts.tolist(), values.size]
+        for g, i, j in zip(group[bounds[:-1]].tolist(), bounds[:-1], bounds[1:]):
+            totals[g] += values[i:j].sum()
+        return
+    starts = np.concatenate([[0], cuts])
+    sizes = np.diff(starts, append=values.size)
+    for size in np.unique(sizes).tolist():
+        first = starts[sizes == size]
+        totals[group[first]] += values[first[:, None] + np.arange(size)].sum(axis=1)
 
 
 def integrate_adaptive(
@@ -161,7 +211,9 @@ def integrate_adaptive(
     """
     if hi <= lo:
         return 0.0
-    return integrate_many(lambda t, owner: f(t), [lo], [hi], abs_tol, max_subdivisions)
+    return float(
+        integrate_many(lambda t, owner: f(t), [lo], [hi], abs_tol, max_subdivisions)[0]
+    )
 
 
 def integrate_gauss_tail(

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import p_antipodal, p_with_origin
-from .configs import AntipodalLengths, EnergyBudget
-from .gaussian import QuadratureSpec, RandomStream
+from .analytic import p_pairs_batch
+from .configs import EnergyBudget
+from .gaussian import QuadratureError, QuadratureSpec, RandomStream
 
 
 # Scale of the Gaussian share kick of each basin hop.
@@ -38,51 +38,105 @@ class OptimSettings:
     def __post_init__(self) -> None:
         if self.hops < 1:
             raise ValueError(f"hops must be >= 1, got {self.hops}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
 class OptimResult:
-    """Optimized pair lengths (sorted descending, zeros snapped) and diagnostics."""
+    """Optimized pair lengths (sorted descending, zeros snapped) and diagnostics.
+
+    ``evaluations`` counts the candidates whose P was computed, and
+    ``batches`` the :func:`objective` calls that computed them.
+    """
 
     lengths: tuple[float, ...]
     p_value: float
     hops_taken: int
     improved_at: tuple[int, ...]
     converged: bool
+    evaluations: int
+    batches: int
 
 
 def objective(
     lengths,
     include_origin: bool = False,
     spec: QuadratureSpec | None = None,
-) -> float:
+):
     """P of the configuration given by pair lengths, merging zeros to the origin.
 
     Pairs with length <= 1e-6 put both their vectors at the origin, which
     counts as a single origin point regardless of how many pairs collapse.
+    ``lengths`` is one vector, which gives a float, or a (B, k) stack of
+    them, which gives one P per row from one batched quadrature loop; each
+    row's P is bit-identical to the row's own call.
     """
-    active = [float(a) for a in lengths if a > _ZERO_FLOOR]
-    if not active:
+    given = np.asarray(lengths, dtype=float)
+    rows = np.atleast_2d(given)
+    rows = np.where(rows > _ZERO_FLOOR, rows, 0.0)
+    if not rows.any(axis=1).all():
         raise ValueError("at least one pair length must exceed the zero floor")
-    merged = include_origin or len(active) < len(lengths)
-    if merged:
-        return p_with_origin(AntipodalLengths(tuple(active), True), spec).value
-    return p_antipodal(AntipodalLengths(tuple(active), False), spec).value
+    p = p_pairs_batch(rows, include_origin, spec)
+    return float(p[0]) if given.ndim == 1 else p
+
+
+class _Evaluator:
+    """Sends length stacks to :func:`objective` and counts the work."""
+
+    def __init__(self, spec: QuadratureSpec | None) -> None:
+        self.spec = spec
+        self.evaluations = 0
+        self.batches = 0
+
+    def __call__(self, stack: np.ndarray) -> np.ndarray:
+        self.evaluations += len(stack)
+        self.batches += 1
+        return objective(stack, False, self.spec)
+
+
+def _lockstep(searches, evaluate: _Evaluator) -> list:
+    """Run independent searches side by side; returns their results in order.
+
+    A search is a generator that yields a stack of candidate lengths, is
+    sent their P values, and returns its result.  Each step sends the
+    pending candidates of every unfinished search to ``evaluate`` as one
+    stack, so searches share the cost of each quadrature round.
+    """
+    results = [None] * len(searches)
+    pending = {i: next(search) for i, search in enumerate(searches)}
+    while pending:
+        stacks = list(pending.values())
+        values = evaluate(stacks[0] if len(stacks) == 1 else np.concatenate(stacks))
+        at = 0
+        for i, stack in list(pending.items()):
+            mine, at = values[at : at + len(stack)], at + len(stack)
+            try:
+                pending[i] = searches[i].send(mine)
+            except StopIteration as done:
+                results[i] = done.value
+                del pending[i]
+    return results
 
 
 def _project(t: np.ndarray) -> np.ndarray:
-    """Map a free (k-1)-vector to a point of the share simplex in R^k."""
-    s = np.concatenate([t, [1.0 - t.sum()]])
-    np.clip(s, 0.0, None, out=s)
-    return s / s.sum()
+    """Map each row, a free (k-1)-vector, to a point of the share simplex in R^k."""
+    s = np.concatenate([t, 1.0 - t.sum(axis=1, keepdims=True)], axis=1)
+    np.maximum(s, 0.0, out=s)
+    return s / s.sum(axis=1, keepdims=True)
 
 
 def _lengths(shares: np.ndarray, total_energy: float) -> np.ndarray:
     return np.sqrt(shares * (0.5 * total_energy))
 
 
-def _nelder_mead(f, t0: np.ndarray, max_iter: int):
-    """Minimize f over R^d by Nelder-Mead; returns (t_best, f_best, converged)."""
+def _nelder_mead(t0: np.ndarray, max_iter: int, to_lengths):
+    """Maximize P over R^d by Nelder-Mead on -P, as a search for :func:`_lockstep`.
+
+    Yields ``to_lengths`` of each stack of points it needs: the initial
+    simplex, one trial point, or the shrunk vertices.  Returns (t_best,
+    -P_best, converged).
+    """
     d = t0.size
     verts = [t0]
     for i in range(d):
@@ -90,7 +144,7 @@ def _nelder_mead(f, t0: np.ndarray, max_iter: int):
         v[i] += -0.1 if v[i] > 0.5 else 0.1
         verts.append(v)
     verts = np.array(verts)
-    vals = np.array([f(v) for v in verts])
+    vals = -(yield to_lengths(verts))
     converged = False
     for _ in range(max_iter):
         order = np.argsort(vals, kind="stable")
@@ -98,12 +152,12 @@ def _nelder_mead(f, t0: np.ndarray, max_iter: int):
         if vals[-1] - vals[0] <= _LOCAL_TOL:
             converged = True
             break
-        centroid = verts[:-1].mean(axis=0)
+        centroid = verts[:-1].sum(axis=0) / d  # the values of .mean(axis=0)
         reflected = centroid + (centroid - verts[-1])
-        f_r = f(reflected)
+        f_r = -(yield to_lengths(reflected[None]))[0]
         if f_r < vals[0]:
             expanded = centroid + 2.0 * (centroid - verts[-1])
-            f_e = f(expanded)
+            f_e = -(yield to_lengths(expanded[None]))[0]
             if f_e < f_r:
                 verts[-1], vals[-1] = expanded, f_e
             else:
@@ -112,39 +166,34 @@ def _nelder_mead(f, t0: np.ndarray, max_iter: int):
             verts[-1], vals[-1] = reflected, f_r
         else:
             contracted = centroid + 0.5 * (verts[-1] - centroid)
-            f_c = f(contracted)
+            f_c = -(yield to_lengths(contracted[None]))[0]
             if f_c < vals[-1]:
                 verts[-1], vals[-1] = contracted, f_c
             else:
                 verts = verts[0] + 0.5 * (verts - verts[0])
-                vals = np.array([vals[0]] + [f(v) for v in verts[1:]])
+                vals = np.concatenate([vals[:1], -(yield to_lengths(verts[1:]))])
     order = np.argsort(vals, kind="stable")
     return verts[order[0]], vals[order[0]], converged
 
 
-def _refine_shares(
-    shares0: np.ndarray, total_energy: float, spec: QuadratureSpec | None
-):
-    """Nelder-Mead ascent of P from a share vector; returns (shares, P, converged).
+def _refine_shares(shares0: np.ndarray, total_energy: float):
+    """Nelder-Mead ascent of P from a share vector, as a search for
+    :func:`_lockstep`; returns (shares, P, converged).
 
     P depends only on the multiset of lengths, so the start is sorted
     descending first; permuted starts then follow bit-identical paths.
     """
     k = shares0.size
     if k == 1:
-        only = objective([np.sqrt(total_energy / 2.0)], False, spec)
-        return np.array([1.0]), only, True
+        only = yield np.array([[np.sqrt(total_energy / 2.0)]])
+        return np.array([1.0]), float(only[0]), True
     shares0 = np.sort(shares0)[::-1]
     shares0 = shares0 / shares0.sum()
 
-    def neg_p(t: np.ndarray) -> float:
-        s = _project(t)
-        return -objective(_lengths(s, total_energy), False, spec)
-
-    t_best, f_best, converged = _nelder_mead(
-        neg_p, shares0[:-1].copy(), max_iter=100 * k
+    t_best, f_best, converged = yield from _nelder_mead(
+        shares0[:-1].copy(), 100 * k, lambda ts: _lengths(_project(ts), total_energy)
     )
-    return _project(t_best), -f_best, converged
+    return _project(t_best[None])[0], -f_best, converged
 
 
 def _snap_sorted(shares: np.ndarray, total_energy: float) -> tuple[float, ...]:
@@ -170,13 +219,13 @@ def _boundary_polish(
     shares: np.ndarray,
     p: float,
     total_energy: float,
-    spec: QuadratureSpec | None,
+    evaluate: _Evaluator,
 ):
     """Probe zeroed pairs with tiny shares; several optima keep one genuinely
     small pair (lengths down to ~1e-2), which a simplex search that has
-    collapsed onto the boundary face cannot see on its own.  Each improving
-    probe is refined before the next round; P increases strictly, so the
-    loop terminates."""
+    collapsed onto the boundary face cannot see on its own.  The probes of
+    one pair are one batch.  Each improving probe is refined before the next
+    pair is probed; P increases strictly, so the loop terminates."""
     floor_share = 2.0 * _ZERO_FLOOR**2 / total_energy
     improved = True
     while improved:
@@ -190,14 +239,30 @@ def _boundary_polish(
                 cand[i] = 0.0
                 cand = (1.0 - delta) * cand / cand.sum()
                 cand[i] = delta
-                probes.append(
-                    (objective(_lengths(cand, total_energy), False, spec), cand)
-                )
-            best_probe = max(probes, key=lambda item: item[0])
-            if best_probe[0] > p:
-                shares, p, _ = _refine_shares(best_probe[1], total_energy, spec)
+                probes.append(cand)
+            values = evaluate(np.array([_lengths(c, total_energy) for c in probes]))
+            best = int(np.argmax(values))
+            if values[best] > p:
+                search = _refine_shares(probes[best], total_energy)
+                shares, p, _ = _lockstep([search], evaluate)[0]
                 improved = True
     return shares, p
+
+
+# Hops refined side by side, each kicked from the same incumbent.  After a
+# strict improvement the later hops of the batch are run again from the new
+# incumbent, with the same kicks, so results equal a hop-by-hop run; only
+# the work counts show the discarded refinements.
+_HOP_BATCH = 8
+
+
+def _kicked(shares: np.ndarray, kick: np.ndarray) -> np.ndarray:
+    cand = shares + kick
+    np.maximum(cand, 0.0, out=cand)
+    if cand.sum() == 0.0:
+        cand = np.full(shares.size, 1.0 / shares.size)
+    cand /= cand.sum()
+    return cand
 
 
 def basin_hop(
@@ -214,19 +279,25 @@ def basin_hop(
     the incumbent's shares by a symmetric Gaussian perturbation of scale
     0.3, renormalize, refine, and accept only strict improvements.  Ties
     prefer the lexicographically smallest sorted lengths, so the result is
-    independent of how starts are scheduled.  Runs serially: a refinement
-    is too short for a thread pool to pay.  ``threads`` is accepted and
-    ignored only because the benchmark still passes ``threads=1``.
+    independent of how starts are scheduled.
+
+    Refinements that do not depend on each other run in lockstep, their
+    candidates batched into one quadrature loop per step: the k starts,
+    and hops in speculative batches from the incumbent (see ``_HOP_BATCH``).
+    The result is bit-identical to refining one candidate at a time.  Runs
+    in one thread; ``threads`` is accepted and ignored only because the
+    benchmark still passes ``threads=1``.
     """
     settings = settings or OptimSettings()
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    evaluate = _Evaluator(spec)
 
-    def refine_from(shares):
-        return _refine_shares(shares, energy.total, spec)
+    def refine_all(starts):
+        return _lockstep([_refine_shares(s, energy.total) for s in starts], evaluate)
 
     starts = _structured_starts(k)
-    refined = [refine_from(s) for s in starts]
+    refined = refine_all(starts)
 
     best_shares = None
     best_p = -np.inf
@@ -241,29 +312,43 @@ def basin_hop(
             best_shares, best_p, best_key, best_conv = shares, p, key, conv
 
     stream = RandomStream(settings.seed, 0)
-    for hop in range(settings.hops):
-        kick = _PERTURBATION_SCALE * stream.normal(k)
-        cand = best_shares + kick
-        np.clip(cand, 0.0, None, out=cand)
-        if cand.sum() == 0.0:
-            cand = np.full(k, 1.0 / k)
-        cand /= cand.sum()
-        shares, p, conv = refine_from(cand)
-        if p > best_p:
-            best_shares, best_p, best_conv = shares, p, conv
-            best_key = _snap_sorted(shares, energy.total)
-            improved_at.append(len(starts) + hop)
+    kicks: list[np.ndarray] = []
+    hop = 0
+    while hop < settings.hops:
+        batch = range(hop, min(hop + _HOP_BATCH, settings.hops))
+        while len(kicks) < batch.stop:
+            kicks.append(_PERTURBATION_SCALE * stream.normal(k))
+        try:
+            results = refine_all([_kicked(best_shares, kicks[h]) for h in batch])
+        except QuadratureError:
+            # The failing hop may be one that a hop-by-hop run never reaches
+            # from this incumbent: run the first hop alone, which raises
+            # exactly when that run would.
+            batch = batch[:1]
+            results = refine_all([_kicked(best_shares, kicks[hop])])
+        for h, (shares, p, conv) in zip(batch, results):
+            hop = h + 1
+            if p > best_p:
+                best_shares, best_p, best_conv = shares, p, conv
+                improved_at.append(len(starts) + h)
+                break
 
-    best_shares, best_p = _boundary_polish(best_shares, best_p, energy.total, spec)
+    best_shares, best_p = _boundary_polish(best_shares, best_p, energy.total, evaluate)
     final = _snap_sorted(best_shares, energy.total)
-    p_final = objective(final, False, spec)
+    p_final = float(evaluate(np.array([final]))[0])
     achieved = 2.0 * float(np.sum(np.square(final)))
     if abs(achieved - energy.total) > 1e-9 * energy.total:
         raise RuntimeError(
             f"result violates the energy constraint: {achieved:g} vs {energy.total:g}"
         )
     return OptimResult(
-        final, p_final, len(starts) + settings.hops, tuple(improved_at), best_conv
+        final,
+        p_final,
+        len(starts) + settings.hops,
+        tuple(improved_at),
+        best_conv,
+        evaluate.evaluations,
+        evaluate.batches,
     )
 
 

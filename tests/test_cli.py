@@ -157,6 +157,19 @@ class TestTable:
                   "--energies", "4.0", "--out", "/tmp/unused.csv"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("kind", ["steiner", "optimize"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--hops", "0", "hops must be >= 1"),
+        ("--seed", "-1", "seed must be >= 0"),
+    ])
+    def test_bad_hops_or_seed_exit_1(self, capsys, tmp_path, kind, flag, value, message):
+        out_path = tmp_path / "never.csv"
+        code, _, err = run(capsys, "table", "--kind", kind, "--k-values", "2",
+                           "--energies", "1.0", flag, value, "--out", str(out_path))
+        assert code == 1
+        assert err == f"error: {message}, got {value}\n"
+        assert not out_path.exists()
+
     def test_unwritable_path_exit_1(self, capsys):
         code, _, err = run(capsys, "table", "--kind", "steiner", "--k-values", "1",
                            "--energies", "1.0", "--out", "/nonexistent-dir/x.csv")

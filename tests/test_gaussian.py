@@ -162,6 +162,30 @@ class TestIntegrateMany:
     def test_adaptive_empty_range(self):
         assert integrate_adaptive(np.ones_like, 2.0, 2.0, 1e-10) == 0.0
 
+    def test_groups_are_bit_identical_to_own_calls(self):
+        f = lambda t: np.cos(3.0 * t) * normal_pdf(t)
+        lo, hi = [-1.0, 0.0, 0.3, -2.0, 0.5], [1.0, 2.0, 5.5, 0.0, 0.7]
+        group = np.array([2, 0, 2, 1, 0])
+        tol = np.array([1e-12, 1e-9, 1e-12, 1e-11, 1e-9])
+        got = integrate_many(lambda t, owner: f(t), lo, hi, tol, group=group)
+        for g in range(3):
+            mine = group == g
+            want = integrate_many(lambda t, owner: f(t), np.array(lo)[mine],
+                                  np.array(hi)[mine], tol[mine])
+            assert repr(got[g]) == repr(want[0])
+
+    def test_each_group_has_its_own_budget(self):
+        # 50 step integrals need 51 splits each: 2,550 together, which is
+        # over the default budget of 2,000, but each group is far under it.
+        step = lambda t, owner: np.sign(t - 0.3)
+        lo, hi = np.full(50, -1.0), np.full(50, 1.0)
+        one = integrate_many(step, lo[:1], hi[:1], 1e-12)
+        got = integrate_many(step, lo, hi, 1e-12, group=np.arange(50))
+        assert [repr(x) for x in got] == [repr(one[0])] * 50
+        with pytest.raises(QuadratureError, match="on 1 interval"):
+            integrate_many(step, lo, hi, 1e-12, max_subdivisions=50,
+                           group=np.arange(50))
+
 
 class TestFrozenValues:
     """Exact values of the closed forms, frozen before the quadrature loops merged."""
@@ -194,6 +218,15 @@ class TestFrozenValues:
     def test_direct_2d(self):
         config = Configuration(2, [[0.9, 0.0], [-0.4, 0.8], [0.2, -0.9]])
         assert repr(p_direct(config, QuadratureSpec(1e-4)).value) == "1.928428980672239"
+
+    def test_direct_batched_levels(self):
+        # Frozen while each inner integral still ran on its own.
+        config = Configuration(2, [[0.9, 0.0], [-0.4, 0.8], [0.2, -0.9]])
+        assert repr(p_direct(config, QuadratureSpec(1e-6)).value) == "1.928426603399175"
+        config = Configuration(1, [[1.0], [-1.0], [0.3]])
+        assert repr(p_direct(config).value) == "1.7579690807409958"
+        config = Configuration(3, [[0.5, 0.0, 0.0], [-0.5, 0.2, 0.0], [0.0, 0.0, 0.7]])
+        assert repr(p_direct(config, QuadratureSpec(1e-3)).value) == "1.5861256271131365"
 
 
 class TestRandomStream:

@@ -47,6 +47,7 @@ along its own axis reduces P to one-dimensional integrals:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -115,132 +116,104 @@ def _others(k: int) -> np.ndarray:
     return others
 
 
-def p_pairs_batch(
-    lengths, include_origin, spec: QuadratureSpec | None = None
+def _p_pairs_batch(
+    lengths: np.ndarray, include_origin: bool, spec: QuadratureSpec | None = None
 ) -> np.ndarray:
-    """P of each row of a (B, k) stack of orthogonal antipodal pair lengths.
+    """P of each row of a (B, k) stack of nonnegative pair lengths, each row
+    with a positive one.
 
     A zero length is a pair collapsed onto the origin, so its row includes
-    the origin point, counted once; ``include_origin`` (a bool, or one per
-    row) adds it to rows without zeros.  Every row needs a positive length.
+    the origin point, counted once; ``include_origin`` adds it to every row.
     Row b's value is that of :func:`p_with_origin` or :func:`p_antipodal`
-    on its positive lengths in order, bit for bit: the axis cells of all
-    rows run through one :func:`integrate_many` loop, one group per row,
-    so each round of refinement costs a single vectorized evaluation.
+    on its positive lengths in order, bit for bit.
     """
-    a = np.array(lengths, dtype=float, ndmin=2)
-    live = a > 0
-    counts = live.sum(axis=1)
-    fewest, most = counts.min(), counts.max()
-    if not (a.min() >= 0 and np.isfinite(a.max()) and fewest > 0):
-        raise ValueError("lengths must be finite and nonnegative, with one positive per row")
-    with_origin = (counts < a.shape[1]) | include_origin
-    if fewest == most:
-        if most < a.shape[1]:
-            a = a[live].reshape(len(a), most)
-        return _pair_cells(a, counts, with_origin, spec)
-    # Rows with equal pair counts sit together, so cells with the same
-    # number of box factors are contiguous in every round.  Each row's pairs
-    # move to the front, in order, and absent ones trail as zeros.
-    by_count = np.argsort(counts, kind="stable")
-    first = np.argsort(~live[by_count], axis=1, kind="stable")[:, :most]
-    packed = a[by_count[:, None], first]
-    out = np.empty(len(a))
-    out[by_count] = _pair_cells(packed, counts[by_count], with_origin[by_count], spec)
+    live = lengths > 0
+    counts = live.sum(axis=1).tolist()
+    order = sorted(range(len(counts)), key=counts.__getitem__)
+    blocks = []
+    for c, rows in itertools.groupby(order, key=counts.__getitem__):
+        rows = list(rows)
+        a = lengths[rows][live[rows]].reshape(len(rows), c)
+        blocks.append((a, include_origin or c < lengths.shape[1]))
+    out = np.empty(len(counts))
+    out[order] = _pair_cells(blocks, spec)
     return out
 
 
-def _pair_cells(
-    a: np.ndarray,
-    counts: np.ndarray,
-    with_origin: np.ndarray,
-    spec: QuadratureSpec | None,
-) -> np.ndarray:
-    """:func:`p_pairs_batch` on rows sorted by their pair count ``counts``,
-    each row's pairs first and zeros after them.
+def _pair_cells(blocks, spec: QuadratureSpec | None) -> np.ndarray:
+    """P of each row of each block ``(a, with_origin)``, in order: ``a`` is an
+    (R, c) array of positive pair lengths, and ``with_origin`` says whether
+    its rows include the origin point.
 
     The cell of pair j is int_{lower_j}^{a_j + tail} phi(t - a_j)
     prod_{i != j} box_i(t) dt.  The box factor of pair i at depth t is
     2 Phi((a_i^2 + 2 a_j t - a_j^2)/(2 a_i)) - 1, an affine argument in t
-    precomputed as slope/intercept per (j, i).
+    precomputed as slope/intercept per (j, i).  The cells of all rows run
+    through one :func:`integrate_many` loop, one group per row, so each
+    round of refinement costs a single vectorized evaluation.
     """
     spec = spec or DEFAULT_QUADRATURE
-    n_rows, k = a.shape
-    ragged = counts[0] < k
-    if ragged:
-        live = np.arange(k) < counts[:, None]
-        safe = np.where(live, a, 1.0)
-    else:
-        safe = a
-    # argument_{b,j,i}(t) = intercept_{b,j,i} + slope_{b,j,i} * t.  Cell j's
-    # own factor (i = j) would be exactly 1, so cell j keeps only the pairs
-    # i != j, in order of i; a row of c pairs uses the first c - 1 of them.
-    square = safe**2
-    pairs = safe[:, _others(k)]
-    slope = safe[:, :, None] / pairs
-    intercept = (pairs**2 - square[:, :, None]) / (2.0 * pairs)
-    # Cell j starts at a_j / 2 behind the origin's wall; without the origin
-    # it starts where its slice box opens, at (a_j^2 - min_i a_i^2) / (2 a_j).
-    origin_all, origin_any = bool(with_origin.all()), bool(with_origin.any())
-    if origin_all:
-        lower = 0.5 * safe
-    else:
-        nearest = (np.where(live, square, np.inf) if ragged else square).min(axis=1)
-        lower = (square - nearest[:, None]) / (2.0 * safe)
-        if origin_any:
-            lower = np.where(with_origin[:, None], 0.5 * safe, lower)
-    if ragged:
-        row = np.repeat(np.arange(n_rows), counts)
-        n_factors = counts[row] - 1
-        center, lower = a[live], lower[live]
-        slope, intercept = slope[live], intercept[live]
-    else:
-        row = np.arange(n_rows).repeat(k) if n_rows > 1 else None
-        center, lower = a.reshape(-1), lower.reshape(-1)
-        slope = slope.reshape(n_rows * k, k - 1)
-        intercept = intercept.reshape(n_rows * k, k - 1)
+    n_cells = sum(a.size for a, _ in blocks)
+    most = max(a.shape[1] for a, _ in blocks)
+    # argument_{j,i}(t) = intercept_{j,i} + slope_{j,i} * t.  Cell j's own
+    # factor (i = j) would be exactly 1, so cell j keeps the pairs i != j,
+    # and a cell of a row with c pairs uses the first c - 1 rows here.
     # Pairs first: the factors of one pair are then one contiguous block.
-    slope, intercept = slope.T.copy(), intercept.T.copy()
-
-    def boxes(t: np.ndarray, slope: np.ndarray, intercept: np.ndarray) -> np.ndarray:
-        # Box factors of shape (pairs, panels, 15), multiplied over the pairs
-        x = slope[:, :, None] * t
-        x += intercept[:, :, None]
-        x = ndtr(x)  # one argument: perfbench's tracer wraps ndtr(x) to count
-        x *= 2.0
-        x -= 1.0
-        return x.prod(axis=0)
+    slope = np.empty((most - 1, n_cells))
+    intercept = np.empty((most - 1, n_cells))
+    lower, counts, ends = [], [], [0]
+    for a, with_origin in blocks:
+        n_rows, c = a.shape
+        cells = slice(ends[-1], ends[-1] + a.size)
+        square = a**2
+        pairs = a[:, _others(c)]
+        slope[: c - 1, cells] = (a[:, :, None] / pairs).reshape(a.size, c - 1).T
+        intercept[: c - 1, cells] = (
+            (pairs**2 - square[:, :, None]) / (2.0 * pairs)
+        ).reshape(a.size, c - 1).T
+        ends.append(cells.stop)
+        counts += [c] * n_rows
+        if with_origin:
+            # Cell j starts at a_j / 2, behind the origin's wall.
+            lower.append(0.5 * a)
+        else:
+            # Cell j starts where its slice box opens, at
+            # (a_j^2 - min_i a_i^2) / (2 a_j).
+            lower.append((square - square.min(axis=1, keepdims=True)) / (2.0 * a))
+    center = np.concatenate([a for a, _ in blocks], axis=None)
+    levels = [a.shape[1] - 1 for a, _ in blocks]
 
     def integrand(t: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        if not ragged:
-            box = boxes(t, slope[:, owner], intercept[:, owner])
-        else:
-            # Runs of panels whose cells have equally many factors
-            m = n_factors[owner]
-            cuts = (np.flatnonzero(m[1:] != m[:-1]) + 1).tolist()
-            box = np.empty(t.shape)
-            for i, j in zip([0, *cuts], [*cuts, owner.size]):
-                o, n = owner[i:j], m[i]
-                box[i:j] = boxes(t[i:j], slope[:n, o], intercept[:n, o])
-        return normal_pdf(t - center[owner][:, None]) * box
+        # The panels come sorted by row, so each block's panels are one run.
+        cuts = [int(np.count_nonzero(owner < end)) for end in ends[1:-1]]
+        box = np.empty(t.shape)
+        for n, i, j in zip(levels, [0, *cuts], [*cuts, owner.size]):
+            if i == j:
+                continue
+            # Box factors of shape (pairs, panels, 15), multiplied over pairs
+            o = owner[i:j]
+            x = slope[:n].take(o, axis=1)[:, :, None] * t[i:j]
+            x += intercept[:n].take(o, axis=1)[:, :, None]
+            x = ndtr(x)  # one argument: perfbench's tracer wraps ndtr(x) to count
+            x *= 2.0
+            x -= 1.0
+            x.prod(axis=0, out=box[i:j])
+        box *= normal_pdf(t - center[owner][:, None])
+        return box
 
+    counts = np.array(counts)
+    row = np.repeat(np.arange(counts.size), counts)
     tol_each = spec.abs_tol / (4.0 * counts)
     total = 2.0 * integrate_many(
-        integrand, lower, center + TAIL_SIGMAS,
-        tol_each[0] if row is None else tol_each[row],
-        spec.max_subdivisions, initial_panels=4, group=row,
+        integrand, np.concatenate(lower, axis=None), center + TAIL_SIGMAS,
+        tol_each[row], spec.max_subdivisions, initial_panels=4, group=row,
     )
-    if origin_all and not ragged:
-        # The origin's cell is the box with half-widths a_i / 2.
-        total += (2.0 * ndtr(0.5 * a) - 1.0).prod(axis=1)
-    elif origin_any:
-        mine = np.repeat(with_origin[:, None], k, axis=1)
-        if ragged:
-            mine &= live
-        cube = np.ones(a.shape)
-        cube[mine] = 2.0 * ndtr(0.5 * a[mine]) - 1.0
-        total = np.where(with_origin, total + cube.prod(axis=1), total)
-    return total
+    # The origin's own cell is the box with half-widths a_i / 2.
+    cubes = [
+        (2.0 * ndtr(0.5 * a) - 1.0).prod(axis=1) if with_origin else np.zeros(len(a))
+        for a, with_origin in blocks
+    ]
+    return total + np.concatenate(cubes)
 
 
 def p_antipodal(
@@ -255,8 +228,7 @@ def p_antipodal(
     if lengths.include_origin:
         raise ValueError("lengths.include_origin must be False; use p_with_origin")
     spec = spec or DEFAULT_QUADRATURE
-    a = np.array([lengths.lengths])
-    value = _pair_cells(a, np.array([a.size]), np.array([False]), spec)[0]
+    value = _pair_cells([(np.array([lengths.lengths]), False)], spec)[0]
     return ProbEstimate(value, METHOD_ANALYTIC, spec.abs_tol)
 
 
@@ -267,8 +239,7 @@ def p_with_origin(
     if not lengths.include_origin:
         raise ValueError("lengths.include_origin must be True; use p_antipodal")
     spec = spec or DEFAULT_QUADRATURE
-    a = np.array([lengths.lengths])
-    value = _pair_cells(a, np.array([a.size]), np.array([True]), spec)[0]
+    value = _pair_cells([(np.array([lengths.lengths]), True)], spec)[0]
     return ProbEstimate(value, METHOD_ANALYTIC, spec.abs_tol)
 
 

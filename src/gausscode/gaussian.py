@@ -177,25 +177,16 @@ def integrate_many(
 def _add_by_group(totals: np.ndarray, values: np.ndarray, group: np.ndarray) -> None:
     """totals[g] += the sum of the values of group g, for ``group`` sorted.
 
-    Each group's values are summed as one contiguous row by NumPy's
-    pairwise ``sum``, so the rounding is that of a one-group call.  Past a
-    few dozen groups, groups with equally many values share one row-wise
-    ``sum(axis=1)``.  ``np.add.reduceat`` and ``np.bincount`` sum in another
-    order and are not bit-identical to it.
+    Each group's values are summed as one slice by NumPy's pairwise
+    ``sum``, so the rounding is that of a one-group call.
+    ``np.add.reduceat`` and ``np.bincount`` sum in another order and are
+    not bit-identical to it.
     """
     if not values.size:
         return
-    cuts = np.flatnonzero(group[1:] != group[:-1]) + 1
-    if cuts.size < 32:
-        bounds = [0, *cuts.tolist(), values.size]
-        for g, i, j in zip(group[bounds[:-1]].tolist(), bounds[:-1], bounds[1:]):
-            totals[g] += values[i:j].sum()
-        return
-    starts = np.concatenate([[0], cuts])
-    sizes = np.diff(starts, append=values.size)
-    for size in np.unique(sizes).tolist():
-        first = starts[sizes == size]
-        totals[group[first]] += values[first[:, None] + np.arange(size)].sum(axis=1)
+    cuts = (np.flatnonzero(group[1:] != group[:-1]) + 1).tolist()
+    for g, i, j in zip(group[[0, *cuts]].tolist(), [0, *cuts], [*cuts, values.size]):
+        totals[g] += values[i:j].sum()
 
 
 def integrate_adaptive(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import p_pairs_batch
+from .analytic import _p_pairs_batch
 from .configs import EnergyBudget
 from .gaussian import QuadratureError, QuadratureSpec, RandomStream
 
@@ -77,7 +77,7 @@ def objective(
     rows = np.where(rows > _ZERO_FLOOR, rows, 0.0)
     if not rows.any(axis=1).all():
         raise ValueError("at least one pair length must exceed the zero floor")
-    p = p_pairs_batch(rows, include_origin, spec)
+    p = _p_pairs_batch(rows, include_origin, spec)
     return float(p[0]) if given.ndim == 1 else p
 
 

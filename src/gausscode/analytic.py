@@ -98,7 +98,7 @@ def p_steiner(k: int, a: float, spec: QuadratureSpec | None = None) -> ProbEstim
         raise ValueError(f"length must be finite and nonnegative, got {a}")
     spec = spec or DEFAULT_QUADRATURE
     tol = spec.abs_tol / (4.0 * k)
-    inner = QuadratureSpec(abs_tol=tol, max_subdivisions=spec.max_subdivisions)
+    inner = QuadratureSpec(abs_tol=tol)
 
     def cube_slice(b: np.ndarray) -> np.ndarray:
         return (2.0 * ndtr(b) - 1.0) ** (k - 1)
@@ -206,7 +206,7 @@ def _pair_cells(blocks, spec: QuadratureSpec | None) -> np.ndarray:
     tol_each = spec.abs_tol / (4.0 * counts)
     total = 2.0 * integrate_many(
         integrand, np.concatenate(lower, axis=None), center + TAIL_SIGMAS,
-        tol_each[row], spec.max_subdivisions, initial_panels=4, group=row,
+        tol_each[row], initial_panels=4, group=row,
     )
     # The origin's own cell is the box with half-widths a_i / 2.
     cubes = [
@@ -256,9 +256,7 @@ def p_simplex(
         raise ValueError(f"radius must be finite and nonnegative, got {radius}")
     spec = spec or DEFAULT_QUADRATURE
     shift = radius * np.sqrt(m / (m - 1.0))
-    inner = QuadratureSpec(
-        abs_tol=spec.abs_tol / (2.0 * m), max_subdivisions=spec.max_subdivisions
-    )
+    inner = QuadratureSpec(abs_tol=spec.abs_tol / (2.0 * m))
 
     def cone_slice(u: np.ndarray) -> np.ndarray:
         return ndtr(u + shift) ** (m - 1)

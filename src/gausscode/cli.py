@@ -198,6 +198,8 @@ def cmd_eval(args) -> int:
         est = p_with_origin(lengths, spec) if args.with_origin else p_antipodal(lengths, spec)
         _print_estimate(est)
     elif args.mode == "simplex":
+        if args.m < 2:
+            raise ValueError(f"m must be >= 2, got {args.m}")
         r = args.radius if args.radius is not None else float(np.sqrt(args.energy / args.m))
         _print_estimate(p_simplex(args.m, r, spec))
     elif args.mode == "mc":

@@ -21,9 +21,10 @@ Four independent routes:
   against the product of their marginal measures (the Sidak lower bound,
   an equality for mutually perpendicular planks).
 
-Monte Carlo work is split into per-point / per-level substreams keyed as
-(seed, index), so estimates are reproducible and independent of how the
-work is scheduled across threads.
+All Monte Carlo work runs through one runner, :func:`_hit_fractions`,
+which gives each per-point / per-level test the substream (seed, index),
+so estimates are reproducible and independent of how the work is
+scheduled across threads.
 """
 
 from __future__ import annotations
@@ -129,22 +130,31 @@ class PlankSystem:
         object.__setattr__(self, "halfwidths", halfwidths)
 
 
-def _hit_fraction(
-    stream: RandomStream, samples: int, dimension: int, inside
-) -> float:
-    """Share of ``samples`` standard normal draws for which ``inside`` holds.
+def _hit_fractions(
+    tests, samples: int, seed: int, dimension: int, threads: int = 1
+) -> list[float]:
+    """Share of ``samples`` standard normal draws that each test accepts.
 
-    Draws (m, dimension) arrays of at most ``_CHUNK`` rows from ``stream``
-    and passes each to the vectorized test ``inside``, which returns one
-    boolean per row.
+    Test i is a vectorized function of an (m, dimension) array of draws
+    that returns one boolean per row; it draws from substream (seed, i) in
+    chunks of at most ``_CHUNK`` rows, so the shares do not depend on how
+    the tests are spread over ``threads`` worker threads.
     """
-    hits = 0
-    done = 0
-    while done < samples:
-        m = min(_CHUNK, samples - done)
-        hits += int(np.count_nonzero(inside(stream.normal((m, dimension)))))
-        done += m
-    return hits / samples
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+
+    def fraction(i: int) -> float:
+        stream = RandomStream(seed, i)
+        hits = 0
+        for done in range(0, samples, _CHUNK):
+            g = stream.normal((min(_CHUNK, samples - done), dimension))
+            hits += int(np.count_nonzero(tests[i](g)))
+        return hits / samples
+
+    if threads > 1 and len(tests) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fraction, range(len(tests))))
+    return [fraction(i) for i in range(len(tests))]
 
 
 def mc_decode(
@@ -162,26 +172,15 @@ def mc_decode(
     thread count; the standard error is the root-sum-square of the
     per-point binomial errors.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
     pts = config.distinct_points()
-    n_pts = pts.shape[0]
 
-    def point_prob(i: int) -> float:
+    def wall_test(i: int):
         walls = np.delete(pts, i, axis=0) - pts[i]
         offsets = 0.5 * np.einsum("ij,ij->i", walls, walls)
-        return _hit_fraction(
-            RandomStream(seed, i),
-            samples,
-            config.dimension,
-            lambda g: (g @ walls.T < offsets).all(axis=1),
-        )
+        return lambda g: (g @ walls.T < offsets).all(axis=1)
 
-    if threads > 1 and n_pts > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            probs = list(pool.map(point_prob, range(n_pts)))
-    else:
-        probs = [point_prob(i) for i in range(n_pts)]
+    tests = [wall_test(i) for i in range(pts.shape[0])]
+    probs = _hit_fractions(tests, samples, seed, config.dimension, threads)
 
     estimate = float(np.sum(probs))
     variance = float(np.sum([p * (1.0 - p) / samples for p in probs]))
@@ -241,25 +240,17 @@ def p_direct(config: Configuration, spec: QuadratureSpec | None = None):
 
         m = len(prefixes)
         return integrate_many(
-            f, np.full(m, los[axis]), np.full(m, his[axis]), tol,
-            spec.max_subdivisions, group=np.arange(m),
+            f, np.full(m, los[axis]), np.full(m, his[axis]), tol, group=np.arange(m),
         )
 
     value = level(0, np.empty((1, 0)), target / 2.0)[0]
     return ProbEstimate(value, METHOD_DIRECT, target)
 
 
-def measure_union_stream(
-    system: HalfspaceSystem, samples: int, stream: RandomStream
-) -> float:
-    """Monte Carlo measure of a union of halfspaces under the variance-1/2
-    Gaussian, drawing from a caller-owned stream."""
-
-    def inside(g: np.ndarray) -> np.ndarray:
-        x = g / np.sqrt(2.0)
-        return (x @ system.normals.T >= system.offsets).any(axis=1)
-
-    return _hit_fraction(stream, samples, system.normals.shape[1], inside)
+def _union_test(system: HalfspaceSystem):
+    """Test for :func:`_hit_fractions`: whether x = g / sqrt(2), a
+    variance-1/2 Gaussian point, lies in the union of the halfspaces."""
+    return lambda g: ((g / np.sqrt(2.0)) @ system.normals.T >= system.offsets).any(axis=1)
 
 
 def slice_identity_check(
@@ -288,15 +279,8 @@ def slice_identity_check(
             f"y_max = {ys[-1]:g} is below the level envelope {envelope:g}"
         )
 
-    def level_measure(idx: int) -> float:
-        system = HalfspaceSystem.at_level(config, ys[idx])
-        return measure_union_stream(system, samples, RandomStream(seed, idx))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            mus = list(pool.map(level_measure, range(ys.size)))
-    else:
-        mus = [level_measure(i) for i in range(ys.size)]
+    tests = [_union_test(HalfspaceSystem.at_level(config, y)) for y in ys]
+    mus = _hit_fractions(tests, samples, seed, config.dimension, threads)
 
     ys_full = np.concatenate([[0.0], ys])
     mus_full = np.concatenate([[1.0], mus])
@@ -312,13 +296,9 @@ def plank_product_gap(
     with the exact product prod_i (2 Phi(h_i) - 1).  The measure dominates
     the product, with equality when the planks are mutually perpendicular.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    p = _hit_fraction(
-        RandomStream(seed, 0),
-        samples,
-        system.directions.shape[1],
-        lambda g: (np.abs(g @ system.directions.T) <= system.halfwidths).all(axis=1),
+    (p,) = _hit_fractions(
+        [lambda g: (np.abs(g @ system.directions.T) <= system.halfwidths).all(axis=1)],
+        samples, seed, system.directions.shape[1],
     )
     report = MCReport(p, float(np.sqrt(p * (1.0 - p) / samples)), samples, seed)
     product = float(np.prod(2.0 * ndtr(system.halfwidths) - 1.0))

@@ -58,18 +58,13 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Absolute-error target and subdivision budget for adaptive quadrature."""
+    """Absolute-error target for adaptive quadrature."""
 
     abs_tol: float = 1e-10
-    max_subdivisions: int = 2000
 
     def __post_init__(self) -> None:
         if not self.abs_tol > 0:
             raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
-        if self.max_subdivisions < 1:
-            raise ValueError(
-                f"max_subdivisions must be >= 1, got {self.max_subdivisions}"
-            )
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -228,9 +223,7 @@ def integrate_gauss_tail(
     def weighted(t: np.ndarray) -> np.ndarray:
         return normal_pdf(t - center) * f(t)
 
-    return integrate_adaptive(
-        weighted, lower, hi, spec.abs_tol, spec.max_subdivisions
-    )
+    return integrate_adaptive(weighted, lower, hi, spec.abs_tol)
 
 
 @dataclass

@@ -106,8 +106,7 @@ def _lockstep(searches, evaluate: _Evaluator) -> list:
     results = [None] * len(searches)
     pending = {i: next(search) for i, search in enumerate(searches)}
     while pending:
-        stacks = list(pending.values())
-        values = evaluate(stacks[0] if len(stacks) == 1 else np.concatenate(stacks))
+        values = evaluate(np.concatenate(list(pending.values())))
         at = 0
         for i, stack in list(pending.items()):
             mine, at = values[at : at + len(stack)], at + len(stack)

@@ -85,6 +85,13 @@ class TestEval:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("m", ["0", "1", "-2"])
+    def test_bad_simplex_m_exit_1(self, capsys, m):
+        code, out, err = run(capsys, "eval", "simplex", "--m", m, "--energy", "1")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: m must be >= 2, got {m}\n"
+
     @pytest.mark.parametrize("argv", [
         ["eval", "mc", "--config", "unused.json"],
         ["table", "--kind", "steiner", "--out", "unused.csv"],
@@ -271,6 +278,14 @@ class TestCheck:
         assert code == 0
         assert "FAIL" not in out
         assert out.count("PASS") == 12
+
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_bad_samples_exit_1(self, capsys, samples):
+        code, out, err = run(capsys, "check", "--samples", samples)
+        assert code == 1
+        assert "FAIL" not in out
+        assert err == f"error: samples must be >= 1, got {samples}\n"
 
 
 class TestThreadReproducibility:

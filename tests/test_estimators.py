@@ -13,7 +13,6 @@ from gausscode.estimators import (
     MCReport,
     PlankSystem,
     mc_decode,
-    measure_union_stream,
     p_direct,
     plank_product_gap,
     slice_identity_check,
@@ -29,7 +28,9 @@ def combined(err_a: float, err_b: float) -> float:
 
 def union_measure(system: HalfspaceSystem, samples: int, seed: int):
     """Union measure from substream (seed, 0), with its binomial standard error."""
-    p = measure_union_stream(system, samples, RandomStream(seed, 0))
+    (p,) = estimators._hit_fractions(
+        [estimators._union_test(system)], samples, seed, system.normals.shape[1]
+    )
     return p, float(np.sqrt(p * (1.0 - p) / samples))
 
 
@@ -189,6 +190,15 @@ class TestFrozenEstimates:
         assert repr(std_error) == "0.0006232013988567717"
 
 
+class TestFrozenEstimatesSmallChunks(TestFrozenEstimates):
+    """The same pins with chunks of 997 rows, which divides none of the
+    sample counts: chunked standard normal draws equal one draw."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(estimators, "_CHUNK", 997)
+
+
 class TestPDirect:
     def test_single_point(self):
         est = p_direct(Configuration(2, [[0.3, -0.4]]))
@@ -265,6 +275,12 @@ class TestSliceIdentity:
     def test_coverage_guard(self):
         with pytest.raises(GridCoverageError):
             slice_identity_check(PAIR, np.geomspace(1e-6, 1.0, 50), 1000, seed=0)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_sample_validation(self, samples):
+        y_grid = np.geomspace(1e-6, np.exp(1.0) * 100, 60)
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            slice_identity_check(PAIR, y_grid, samples, seed=0)
 
     def test_thread_independence(self):
         y_grid = np.geomspace(1e-6, np.exp(1.0) * 100, 60)

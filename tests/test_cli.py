@@ -18,6 +18,40 @@ from gausscode.reporting import (
 )
 
 
+# The four table outputs, byte for byte.
+STEINER_ARGS = ("--kind", "steiner", "--k-values", "1-4", "--energies", "0,0.5,2,10")
+OPTIMIZE_ARGS = ("--kind", "optimize", "--k-values", "3", "--energies", "1,2.5",
+                 "--hops", "3")
+STEINER_CSV = (
+    '# P(k, E) for k equal orthogonal antipodal pairs plus an origin point; pair length a = sqrt(E/(2k))\n'
+    'E,k=1,k=2,k=3,k=4,k=1_full,k=2_full,k=3_full,k=4_full\n'
+    '0.000,1.000,1.000,1.000,1.000,0.9999999999999971,0.999999999999997,0.9999999999999971,0.999999999999997\n'
+    '0.500,1.395,1.434,1.428,1.413,1.3948253027316915,1.434202577391391,1.427688860652012,1.4125131052658189\n'
+    '2.000,1.766,1.919,1.936,1.916,1.7658498450960485,1.9185623929028641,1.9363359852940267,1.9162089479231175\n'
+    '10.000,2.473,3.125,3.392,3.473,2.4728950454340497,3.124531055512813,3.3921849998967115,3.4725327951422207\n'
+)
+STEINER_TEXT = (
+    'P(k, E), pair length a = sqrt(E/(2k)), origin point included\n'
+    '         E      k=1      k=2      k=3      k=4\n'
+    '     0.000    1.000    1.000    1.000    1.000\n'
+    '     0.500    1.395    1.434    1.428    1.413\n'
+    '     2.000    1.766    1.919    1.936    1.916\n'
+    '    10.000    2.473    3.125    3.392    3.473\n'
+)
+OPTIMIZE_CSV = (
+    '# optimized lengths of 3 orthogonal antipodal pairs at fixed energy, sorted descending; share of pair i is 2*a_i^2/E\n'
+    'E,a1,a2,a3,P,a1_full,a2_full,a3_full,P_full\n'
+    '1.000,0.499,0.498,0.055,1.631,0.4985114381588372,0.49848998495109925,0.0547181955866666,1.631356864994096\n'
+    '2.500,0.645,0.645,0.645,2.065,0.6454972243679029,0.6454972243679028,0.6454972243679028,2.0653218917879586\n'
+)
+OPTIMIZE_TEXT = (
+    'optimized antipodal pair lengths, k = 3\n'
+    '         E       a1       a2       a3          P\n'
+    '     1.000    0.499    0.498    0.055      1.631\n'
+    '     2.500    0.645    0.645    0.645      2.065\n'
+)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -114,6 +148,20 @@ class TestEval:
 
 
 class TestTable:
+    @pytest.mark.parametrize("args, fmt, expected", [
+        (STEINER_ARGS, "csv", STEINER_CSV),
+        (STEINER_ARGS, "structured-text", STEINER_TEXT),
+        (OPTIMIZE_ARGS, "csv", OPTIMIZE_CSV),
+        (OPTIMIZE_ARGS, "structured-text", OPTIMIZE_TEXT),
+    ], ids=["steiner-csv", "steiner-text", "optimize-csv", "optimize-text"])
+    def test_golden_output(self, capsys, tmp_path, args, fmt, expected):
+        out_path = tmp_path / "table"
+        code, out, _ = run(capsys, "table", *args, "--format", fmt,
+                           "--out", str(out_path))
+        assert code == 0
+        assert out == f"wrote {out_path}\n"
+        assert out_path.read_bytes() == expected.encode()
+
     def test_steiner_round_trip(self, capsys, tmp_path):
         out_path = tmp_path / "grid.csv"
         code, _, _ = run(capsys, "table", "--kind", "steiner",

@@ -39,7 +39,6 @@ from .reporting import (
     STEINER_ENERGY_GRID,
     STEINER_K_GRID,
     THRESHOLD_ENERGY_GRIDS,
-    TableRequest,
     optimize_rows,
     pair_length,
     render_optimize,
@@ -64,8 +63,10 @@ def _parse_ints(text: str) -> tuple[int, ...]:
             if not item:
                 continue
             if "-" in item[1:]:
-                lo, hi = item.split("-")
-                out.extend(range(int(lo), int(hi) + 1))
+                lo, hi = (int(x) for x in item.split("-"))
+                if hi < lo:
+                    raise argparse.ArgumentTypeError(f"range {item!r} runs backwards")
+                out.extend(range(lo, hi + 1))
             else:
                 out.append(int(item))
     except ValueError as exc:
@@ -189,8 +190,6 @@ def cmd_eval(args) -> int:
     if getattr(args, "energy", None) is not None and not args.energy >= 0:
         raise ValueError(f"--energy must be a nonnegative number, got {args.energy}")
     if args.mode == "steiner":
-        if args.k < 1:
-            raise ValueError("--k must be >= 1")
         a = args.length if args.length is not None else pair_length(args.energy, args.k)
         _print_estimate(p_steiner(args.k, a, spec))
     elif args.mode == "antipodal":
@@ -218,25 +217,22 @@ def cmd_eval(args) -> int:
 
 
 def cmd_table(args) -> int:
-    kind = args.kind
-    if kind == KIND_STEINER:
+    spec = QuadratureSpec(abs_tol=args.tol)
+    # Validated for both kinds, though only optimize tables use them.
+    settings = OptimSettings(hops=args.hops, seed=args.seed)
+    if args.kind == KIND_STEINER:
         k_values = args.k_values or STEINER_K_GRID
         energies = args.energies or STEINER_ENERGY_GRID
+        grid = steiner_grid(k_values, energies, spec)
+        text = render_steiner(k_values, energies, grid, args.format)
     else:
         if not args.k_values or len(args.k_values) != 1:
             raise UsageError("optimize tables need exactly one k via --k-values")
-        k_values = args.k_values
-        energies = args.energies
-        if not energies:
+        if not args.energies:
             raise UsageError("optimize tables need --energies")
-    request = TableRequest(kind, tuple(k_values), tuple(energies),
-                           args.tol, args.format)
-    # Validated for both kinds, though only optimize tables use them.
-    settings = OptimSettings(hops=args.hops, seed=args.seed)
-    if kind == KIND_STEINER:
-        text = render_steiner(request, steiner_grid(request))
-    else:
-        text = render_optimize(request, optimize_rows(request, settings))
+        (k,) = args.k_values
+        rows = optimize_rows(k, args.energies, settings, spec)
+        text = render_optimize(k, args.energies, rows, args.format)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
     print(f"wrote {args.out}")
@@ -276,6 +272,12 @@ def cmd_compare(args) -> int:
         raise ValueError("--m must be >= 2")
     spec = QuadratureSpec(abs_tol=args.tol)
     factor = float(np.log2(args.m) / args.m)
+    rows = [
+        (e,
+         p_with_origin(AntipodalLengths((pair_length(e, 1),), True), spec).value,
+         p_simplex(args.m, float(np.sqrt(e / args.m)), spec).value)
+        for e in args.energies
+    ]
     header = f"{'E':>10} {'antipodal':>12} {'simplex':>12} {'difference':>12}"
     if args.per_codeword:
         header += f" {'antipodal*f':>12} {'simplex*f':>12}"
@@ -283,11 +285,7 @@ def cmd_compare(args) -> int:
     if args.per_codeword:
         print(f"per-codeword factor f = log2(N)/N = {factor:.6f} (N = {args.m})")
     print(header)
-    for e in args.energies:
-        anti = p_with_origin(
-            AntipodalLengths((float(np.sqrt(e / 2.0)),), True), spec
-        ).value
-        simp = p_simplex(args.m, float(np.sqrt(e / args.m)), spec).value
+    for e, anti, simp in rows:
         line = f"{e:>10.3f} {anti:>12.6f} {simp:>12.6f} {anti - simp:>+12.6f}"
         if args.per_codeword:
             line += f" {anti * factor:>12.6f} {simp * factor:>12.6f}"

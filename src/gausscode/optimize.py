@@ -183,9 +183,6 @@ def _refine_shares(shares0: np.ndarray, total_energy: float):
     descending first; permuted starts then follow bit-identical paths.
     """
     k = shares0.size
-    if k == 1:
-        only = yield np.array([[np.sqrt(total_energy / 2.0)]])
-        return np.array([1.0]), float(only[0]), True
     shares0 = np.sort(shares0)[::-1]
     shares0 = shares0 / shares0.sum()
 

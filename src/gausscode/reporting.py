@@ -1,15 +1,13 @@
 """Table generation: probability grids and optimized-length rows as CSV/text.
 
-CSV files open with a ``#`` metadata line recording the energy-to-length
-mapping, then a mandatory header row.  Display columns round half-even to
-3 decimals; each carries a full-precision companion column so any cell
-can be re-evaluated and checked exactly.
+Both kinds go through one writer.  CSV files open with a ``#`` metadata
+line recording the energy-to-length mapping, then a mandatory header row.
+Display columns round half-even to 3 decimals; each carries a full-precision
+companion column so any cell can be re-evaluated and checked exactly.
+Text tables drop the companions.
 """
 
 from __future__ import annotations
-
-import io
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,113 +45,74 @@ FORMAT_CSV = "csv"
 FORMAT_TEXT = "structured-text"
 
 
-@dataclass(frozen=True)
-class TableRequest:
-    """What to tabulate: a P(k, E) grid or optimized rows at one k."""
-
-    kind: str
-    k_values: tuple[int, ...]
-    energy_values: tuple[float, ...]
-    tolerance: float = 1e-10
-    output_format: str = FORMAT_CSV
-
-    def __post_init__(self) -> None:
-        if self.kind not in (KIND_STEINER, KIND_OPTIMIZE):
-            raise ValueError(f"unknown table kind {self.kind!r}")
-        if self.output_format not in (FORMAT_CSV, FORMAT_TEXT):
-            raise ValueError(f"unknown output format {self.output_format!r}")
-        if not self.k_values or not self.energy_values:
-            raise ValueError("k_values and energy_values must be nonempty")
-        if self.kind == KIND_OPTIMIZE and len(self.k_values) != 1:
-            raise ValueError("optimize tables take exactly one k")
-        if any(k < 1 for k in self.k_values):
-            raise ValueError("k values must be >= 1")
-        # E = 0 is meaningful for the probability grid (all points coincide,
-        # P = 1) but not for the optimizer's energy budget.
-        if self.kind == KIND_OPTIMIZE:
-            if any(e <= 0 for e in self.energy_values):
-                raise ValueError("optimize energies must be positive")
-        elif any(e < 0 for e in self.energy_values):
-            raise ValueError("grid energies must be nonnegative")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
-
-
 def pair_length(energy: float, k: int) -> float:
     """Length per pair when energy E is split over k equal pairs: sqrt(E/(2k))."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if not energy >= 0:
+        raise ValueError(f"energy must be a nonnegative number, got {energy}")
     return float(np.sqrt(energy / (2.0 * k)))
 
 
-def steiner_grid(request: TableRequest) -> np.ndarray:
-    """P(k, E) over the requested grid; rows follow energies, columns k."""
-    spec = QuadratureSpec(abs_tol=request.tolerance)
-    grid = np.empty((len(request.energy_values), len(request.k_values)))
-    for i, e in enumerate(request.energy_values):
-        for j, k in enumerate(request.k_values):
+def steiner_grid(k_values, energies, spec: QuadratureSpec | None = None) -> np.ndarray:
+    """P(k, E) over the grid; rows follow energies, columns k."""
+    grid = np.empty((len(energies), len(k_values)))
+    for i, e in enumerate(energies):
+        for j, k in enumerate(k_values):
             grid[i, j] = p_steiner(k, pair_length(e, k), spec).value
     return grid
 
 
 def optimize_rows(
-    request: TableRequest, settings: OptimSettings | None = None
+    k: int,
+    energies,
+    settings: OptimSettings | None = None,
+    spec: QuadratureSpec | None = None,
 ) -> list[OptimResult]:
-    """One basin-hopping result per requested energy, at the single requested k."""
-    spec = QuadratureSpec(abs_tol=request.tolerance)
-    k = request.k_values[0]
-    return [basin_hop(k, EnergyBudget(e), settings, spec) for e in request.energy_values]
+    """One basin-hopping result per energy at k pairs.  Every energy is
+    checked before the first hop."""
+    budgets = [EnergyBudget(e) for e in energies]
+    return [basin_hop(k, budget, settings, spec) for budget in budgets]
 
 
-def _fmt3(x: float) -> str:
-    return f"{x:.3f}"
-
-
-def render_steiner(request: TableRequest, grid: np.ndarray) -> str:
-    ks = request.k_values
-    out = io.StringIO()
-    if request.output_format == FORMAT_CSV:
-        out.write("# P(k, E) for k equal orthogonal antipodal pairs plus an origin "
-                  "point; pair length a = sqrt(E/(2k))\n")
-        header = ["E"] + [f"k={k}" for k in ks] + [f"k={k}_full" for k in ks]
-        out.write(",".join(header) + "\n")
-        for e, row in zip(request.energy_values, grid):
-            cells = [_fmt3(e)] + [_fmt3(v) for v in row] + [repr(float(v)) for v in row]
-            out.write(",".join(cells) + "\n")
+def _render(output_format, note, title, labels, energies, rows, widths) -> str:
+    """One line per energy: CSV under a ``#`` note, 3-decimal columns then
+    their full-precision ``_full`` companions, or text under a title, the
+    3-decimal columns right-aligned in ``widths``."""
+    if output_format == FORMAT_CSV:
+        lines = [f"# {note}", ",".join(["E", *labels, *(f"{c}_full" for c in labels)])]
+        lines += [
+            ",".join([f"{e:.3f}", *(f"{v:.3f}" for v in row), *(repr(float(v)) for v in row)])
+            for e, row in zip(energies, rows)
+        ]
     else:
-        out.write("P(k, E), pair length a = sqrt(E/(2k)), origin point included\n")
-        out.write(f"{'E':>10} " + " ".join(f"{f'k={k}':>8}" for k in ks) + "\n")
-        for e, row in zip(request.energy_values, grid):
-            out.write(f"{e:>10.3f} " + " ".join(f"{v:>8.3f}" for v in row) + "\n")
-    return out.getvalue()
+        lines = [title, f"{'E':>10} " + " ".join(f"{c:>{w}}" for c, w in zip(labels, widths))]
+        lines += [
+            f"{e:>10.3f} " + " ".join(f"{v:>{w}.3f}" for v, w in zip(row, widths))
+            for e, row in zip(energies, rows)
+        ]
+    return "\n".join(lines) + "\n"
 
 
-def render_optimize(request: TableRequest, rows: list[OptimResult]) -> str:
-    k = request.k_values[0]
-    out = io.StringIO()
-    if request.output_format == FORMAT_CSV:
-        out.write(f"# optimized lengths of {k} orthogonal antipodal pairs at fixed "
-                  "energy, sorted descending; share of pair i is 2*a_i^2/E\n")
-        header = (
-            ["E"] + [f"a{i+1}" for i in range(k)] + ["P"]
-            + [f"a{i+1}_full" for i in range(k)] + ["P_full"]
-        )
-        out.write(",".join(header) + "\n")
-        for e, res in zip(request.energy_values, rows):
-            cells = (
-                [_fmt3(e)]
-                + [_fmt3(a) for a in res.lengths]
-                + [_fmt3(res.p_value)]
-                + [repr(float(a)) for a in res.lengths]
-                + [repr(res.p_value)]
-            )
-            out.write(",".join(cells) + "\n")
-    else:
-        out.write(f"optimized antipodal pair lengths, k = {k}\n")
-        out.write(f"{'E':>10} " + " ".join(f"{f'a{i+1}':>8}" for i in range(k))
-                  + f" {'P':>10}\n")
-        for e, res in zip(request.energy_values, rows):
-            out.write(f"{e:>10.3f} " + " ".join(f"{a:>8.3f}" for a in res.lengths)
-                      + f" {res.p_value:>10.3f}\n")
-    return out.getvalue()
+def render_steiner(k_values, energies, grid: np.ndarray, output_format: str) -> str:
+    return _render(
+        output_format,
+        "P(k, E) for k equal orthogonal antipodal pairs plus an origin point; "
+        "pair length a = sqrt(E/(2k))",
+        "P(k, E), pair length a = sqrt(E/(2k)), origin point included",
+        [f"k={k}" for k in k_values], energies, grid, [8] * len(k_values),
+    )
+
+
+def render_optimize(k: int, energies, rows: list[OptimResult], output_format: str) -> str:
+    return _render(
+        output_format,
+        f"optimized lengths of {k} orthogonal antipodal pairs at fixed energy, "
+        "sorted descending; share of pair i is 2*a_i^2/E",
+        f"optimized antipodal pair lengths, k = {k}",
+        [f"a{i + 1}" for i in range(k)] + ["P"], energies,
+        [[*res.lengths, res.p_value] for res in rows], [8] * k + [10],
+    )
 
 
 def parse_steiner_csv(text: str):

@@ -5,6 +5,7 @@ import pytest
 
 from reference_tables import OPT_TABLE_K3, OPT_TABLE_K4, OPT_TABLE_K5, OPT_TABLE_K6
 
+from gausscode import reporting
 from gausscode.cli import main
 from gausscode.analytic import p_steiner
 from gausscode.gaussian import QuadratureSpec
@@ -12,7 +13,6 @@ from gausscode.optimize import objective
 from gausscode.reporting import (
     STEINER_ENERGY_GRID,
     THRESHOLD_ENERGY_GRIDS,
-    TableRequest,
     pair_length,
     parse_steiner_csv,
 )
@@ -126,6 +126,13 @@ class TestEval:
         assert out == ""
         assert err == f"error: m must be >= 2, got {m}\n"
 
+    @pytest.mark.parametrize("flag", ["--energy", "--length"])
+    def test_bad_steiner_k_exit_1(self, capsys, flag):
+        code, out, err = run(capsys, "eval", "steiner", "--k", "0", flag, "1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: k must be >= 1, got 0\n"
+
     @pytest.mark.parametrize("argv", [
         ["eval", "mc", "--config", "unused.json"],
         ["table", "--kind", "steiner", "--out", "unused.csv"],
@@ -230,6 +237,43 @@ class TestTable:
                            "--energies", "1.0", "--out", "/nonexistent-dir/x.csv")
         assert code == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--kind", "steiner", "--k-values", "0", "--energies", "1"],
+         "k must be >= 1, got 0"),
+        (["--kind", "steiner", "--k-values", "1", "--energies", "-1"],
+         "energy must be a nonnegative number, got -1.0"),
+        (["--kind", "steiner", "--k-values", "1", "--energies", "nan"],
+         "energy must be a nonnegative number, got nan"),
+        (["--kind", "optimize", "--k-values", "2", "--energies", "4,0"],
+         "total energy must be positive, got 0.0"),
+        (["--kind", "steiner", "--k-values", "1", "--energies", "1", "--tol", "-1"],
+         "abs_tol must be positive, got -1.0"),
+    ])
+    def test_bad_input_exit_1(self, capsys, tmp_path, monkeypatch, argv, message):
+        hops = []
+        monkeypatch.setattr(reporting, "basin_hop", lambda *a: hops.append(a))
+        out_path = tmp_path / "never.csv"
+        code, out, err = run(capsys, "table", *argv, "--out", str(out_path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert not out_path.exists()
+        assert hops == []
+
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "bogus"],
+        ["--kind", "steiner", "--format", "yaml"],
+        ["--kind", "steiner", "--k-values", "3-1", "--energies", "1"],
+    ])
+    def test_bad_usage_exit_2(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "never.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["table", *argv, "--out", str(out_path)])
+        assert err.value.code == 2
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
+        assert len(errors) == 1
+        assert not out_path.exists()
+
 
 class TestTableRequest:
     def test_default_energy_grid_shape(self):
@@ -241,22 +285,6 @@ class TestTableRequest:
     def test_pair_length_mapping(self):
         assert pair_length(2.0, 1) == pytest.approx(1.0)
         assert pair_length(8.0, 4) == pytest.approx(1.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TableRequest("bogus", (1,), (1.0,))
-        with pytest.raises(ValueError):
-            TableRequest("steiner", (), (1.0,))
-        with pytest.raises(ValueError):
-            TableRequest("optimize", (2, 3), (1.0,))
-        with pytest.raises(ValueError):
-            TableRequest("optimize", (2,), (0.0,))
-        with pytest.raises(ValueError):
-            TableRequest("steiner", (1,), (-1.0,))
-        with pytest.raises(ValueError):
-            TableRequest("steiner", (1,), (1.0,), tolerance=-1.0)
-        with pytest.raises(ValueError):
-            TableRequest("steiner", (1,), (1.0,), output_format="yaml")
 
     def test_zero_energy_grid_cell(self, capsys, tmp_path):
         out_path = tmp_path / "zero.csv"
@@ -295,6 +323,12 @@ class TestScan:
         assert err.value.code == 2
         assert "(3, 4, 5, 6)" in capsys.readouterr().err
 
+    def test_reversed_range_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["scan", "--k-values", "5-3"])
+        assert err.value.code == 2
+        assert "range '5-3' runs backwards" in capsys.readouterr().err
+
     def test_grids_are_the_published_energies(self):
         published = {3: OPT_TABLE_K3, 4: OPT_TABLE_K4, 5: OPT_TABLE_K5, 6: OPT_TABLE_K6}
         assert THRESHOLD_ENERGY_GRIDS == {
@@ -318,6 +352,32 @@ class TestCompare:
         code, out, _ = run(capsys, "compare", "--m", "7", "--energies", "0.004")
         line = [ln for ln in out.splitlines() if ln.lstrip().startswith("0.004")][0]
         assert "+" in line  # the antipodal side wins at the witness energy
+
+    def test_per_codeword_output(self, capsys):
+        code, out, _ = run(capsys, "compare", "--m", "7", "--energies",
+                           "3e-4,0.01,1,10", "--per-codeword")
+        assert code == 0
+        assert out == (
+            "one antipodal pair plus origin vs regular 7-simplex at equal energy\n"
+            "per-codeword factor f = log2(N)/N = 0.401051 (N = 7)\n"
+            "         E    antipodal      simplex   difference  antipodal*f    simplex*f\n"
+            "     0.000     1.009772     1.009592    +0.000180     0.404970     0.404898\n"
+            "     0.010     1.056407     1.056220    +0.000187     0.423673     0.423598\n"
+            "     1.000     1.552653     1.652670    -0.100017     0.622692     0.662804\n"
+            "    10.000     2.472895     3.580318    -1.107422     0.991756     1.435889\n"
+        )
+
+    @pytest.mark.parametrize("energy, message", [
+        ("-1", "energy must be a nonnegative number, got -1.0"),
+        ("nan", "energy must be a nonnegative number, got nan"),
+        ("0", "pair lengths must be positive, got 0.0"),
+    ])
+    def test_bad_energy_prints_nothing_exit_1(self, capsys, energy, message):
+        # Every row is computed before the header is printed.
+        code, out, err = run(capsys, "compare", "--m", "3", "--energies", f"1,{energy}")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestCheck:

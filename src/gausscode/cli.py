@@ -47,9 +47,17 @@ from .reporting import (
 )
 
 
+def _items(text: str) -> list[str]:
+    """The nonblank comma-separated items of ``text``; an empty list is refused."""
+    items = [x.strip() for x in text.split(",") if x.strip()]
+    if not items:
+        raise argparse.ArgumentTypeError(f"empty list: {text!r}")
+    return items
+
+
 def _parse_floats(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(x) for x in text.split(",") if x.strip())
+        return tuple(float(x) for x in _items(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}") from exc
 
@@ -58,10 +66,7 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     """Comma-separated integers, with lo-hi ranges allowed (e.g. '1-20')."""
     out: list[int] = []
     try:
-        for item in text.split(","):
-            item = item.strip()
-            if not item:
-                continue
+        for item in _items(text):
             if "-" in item[1:]:
                 lo, hi = (int(x) for x in item.split("-"))
                 if hi < lo:
@@ -254,11 +259,10 @@ def cmd_optimize(args) -> int:
 
 def cmd_scan(args) -> int:
     """Per k, the grid energy from which the optimized lengths stay all-equal."""
-    if not args.k_values or any(k not in THRESHOLD_ENERGY_GRIDS for k in args.k_values):
+    if any(k not in THRESHOLD_ENERGY_GRIDS for k in args.k_values):
         known = ", ".join(str(k) for k in THRESHOLD_ENERGY_GRIDS)
-        got = ", ".join(str(k) for k in args.k_values) or "none"
         raise UsageError(f"--k-values must be among the k with energy grids "
-                         f"({known}), got {got}")
+                         f"({known}), got {', '.join(str(k) for k in args.k_values)}")
     settings = OptimSettings(hops=args.hops, seed=args.seed)
     for k in args.k_values:
         grid = list(THRESHOLD_ENERGY_GRIDS[k])

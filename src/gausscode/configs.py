@@ -76,7 +76,8 @@ class AntipodalLengths:
             raise ConfigurationError("need at least one pair length")
         for a in lengths:
             if not (np.isfinite(a) and a > 0):
-                raise ConfigurationError(f"pair lengths must be positive, got {a}")
+                finite = "" if np.isfinite(a) else "finite and "
+                raise ConfigurationError(f"pair lengths must be {finite}positive, got {a}")
         object.__setattr__(self, "lengths", lengths)
 
 
@@ -88,7 +89,8 @@ class EnergyBudget:
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.total) and self.total > 0):
-            raise ConfigurationError(f"total energy must be positive, got {self.total}")
+            finite = "" if np.isfinite(self.total) else "finite and "
+            raise ConfigurationError(f"total energy must be {finite}positive, got {self.total}")
 
 
 def energy(config: Configuration) -> float:

@@ -24,7 +24,8 @@ Four independent routes:
 All Monte Carlo work runs through one runner, :func:`_hit_fractions`,
 which gives each per-point / per-level test the substream (seed, index),
 so estimates are reproducible and independent of how the work is
-scheduled across threads.
+scheduled across threads.  Tests see cache-sized chunks of draws as
+(dimension, m) views, so they compare (conditions, m) and reduce axis 0.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ from .gaussian import (
     integrate_many,
 )
 
-_CHUNK = 1 << 19
+# Rows per chunk: a 13-point chunk's draws, products and mask fit a 4 MiB L2.
+_CHUNK = 1 << 14
 
 
 class DimensionTooLargeError(ValueError):
@@ -135,10 +137,10 @@ def _hit_fractions(
 ) -> list[float]:
     """Share of ``samples`` standard normal draws that each test accepts.
 
-    Test i is a vectorized function of an (m, dimension) array of draws
-    that returns one boolean per row; it draws from substream (seed, i) in
-    chunks of at most ``_CHUNK`` rows, so the shares do not depend on how
-    the tests are spread over ``threads`` worker threads.
+    Test i is a vectorized function of a (dimension, m) view whose columns
+    are draws, returning one boolean per column; it draws from substream
+    (seed, i) in chunks of at most ``_CHUNK`` draws, so the shares do not
+    depend on how the tests are spread over ``threads`` worker threads.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -148,7 +150,7 @@ def _hit_fractions(
         hits = 0
         for done in range(0, samples, _CHUNK):
             g = stream.normal((min(_CHUNK, samples - done), dimension))
-            hits += int(np.count_nonzero(tests[i](g)))
+            hits += int(np.count_nonzero(tests[i](g.T)))
         return hits / samples
 
     if threads > 1 and len(tests) > 1:
@@ -177,7 +179,7 @@ def mc_decode(
     def wall_test(i: int):
         walls = np.delete(pts, i, axis=0) - pts[i]
         offsets = 0.5 * np.einsum("ij,ij->i", walls, walls)
-        return lambda g: (g @ walls.T < offsets).all(axis=1)
+        return lambda g: (walls @ g < offsets[:, None]).all(axis=0)
 
     tests = [wall_test(i) for i in range(pts.shape[0])]
     probs = _hit_fractions(tests, samples, seed, config.dimension, threads)
@@ -250,7 +252,8 @@ def p_direct(config: Configuration, spec: QuadratureSpec | None = None):
 def _union_test(system: HalfspaceSystem):
     """Test for :func:`_hit_fractions`: whether x = g / sqrt(2), a
     variance-1/2 Gaussian point, lies in the union of the halfspaces."""
-    return lambda g: ((g / np.sqrt(2.0)) @ system.normals.T >= system.offsets).any(axis=1)
+    offsets = system.offsets[:, None]
+    return lambda g: (system.normals @ (g / np.sqrt(2.0)) >= offsets).any(axis=0)
 
 
 def slice_identity_check(
@@ -296,8 +299,9 @@ def plank_product_gap(
     with the exact product prod_i (2 Phi(h_i) - 1).  The measure dominates
     the product, with equality when the planks are mutually perpendicular.
     """
+    halfwidths = system.halfwidths[:, None]
     (p,) = _hit_fractions(
-        [lambda g: (np.abs(g @ system.directions.T) <= system.halfwidths).all(axis=1)],
+        [lambda g: (np.abs(system.directions @ g) <= halfwidths).all(axis=0)],
         samples, seed, system.directions.shape[1],
     )
     report = MCReport(p, float(np.sqrt(p * (1.0 - p) / samples)), samples, seed)

@@ -275,6 +275,32 @@ class TestTable:
         assert not out_path.exists()
 
 
+class TestEmptyLists:
+    """An empty list is a usage error, never the default grid."""
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "--kind", "steiner", "--k-values", ",", "--energies", "1"],
+        ["table", "--kind", "steiner", "--k-values", "1", "--energies", ","],
+        ["table", "--kind", "optimize", "--k-values", "3", "--energies", ""],
+        ["compare", "--m", "3", "--energies", ","],
+        ["scan", "--k-values", ","],
+        ["scan", "--k-values", ""],
+    ], ids=["table-k", "table-energies", "optimize-energies", "compare", "scan",
+            "scan-blank"])
+    def test_exit_2(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "never.csv"
+        if argv[0] == "table":
+            argv = [*argv, "--out", str(out_path)]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        errors = [ln for ln in out.err.splitlines() if "error:" in ln]
+        assert len(errors) == 1 and "empty list" in errors[0]
+        assert not out_path.exists()
+
+
 class TestTableRequest:
     def test_default_energy_grid_shape(self):
         assert len(STEINER_ENERGY_GRID) == 50
@@ -316,7 +342,7 @@ class TestScan:
         assert out == ("k = 3: all-equal from E = 2.0 on the grid "
                        "[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 20.0]\n")
 
-    @pytest.mark.parametrize("k_values", ["7", "3,7", ""])
+    @pytest.mark.parametrize("k_values", ["7", "3,7"])
     def test_k_without_grid_exit_2(self, capsys, k_values):
         with pytest.raises(SystemExit) as err:
             main(["scan", "--k-values", k_values])
@@ -371,6 +397,7 @@ class TestCompare:
         ("-1", "energy must be a nonnegative number, got -1.0"),
         ("nan", "energy must be a nonnegative number, got nan"),
         ("0", "pair lengths must be positive, got 0.0"),
+        ("inf", "pair lengths must be finite and positive, got inf"),
     ])
     def test_bad_energy_prints_nothing_exit_1(self, capsys, energy, message):
         # Every row is computed before the header is printed.
@@ -378,6 +405,12 @@ class TestCompare:
         assert code == 1
         assert out == ""
         assert err == f"error: {message}\n"
+
+    def test_infinite_energy_exit_1(self, capsys):
+        code, out, err = run(capsys, "compare", "--m", "3", "--energies", "inf")
+        assert code == 1
+        assert out == ""
+        assert err == "error: pair lengths must be finite and positive, got inf\n"
 
 
 class TestCheck:

@@ -176,6 +176,15 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             AntipodalLengths((-1.0,))
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_nonfinite_length_and_energy(self, value):
+        with pytest.raises(ConfigurationError,
+                           match=f"pair lengths must be finite and positive, got {value}"):
+            AntipodalLengths((1.0, value))
+        with pytest.raises(ConfigurationError,
+                           match=f"total energy must be finite and positive, got {value}"):
+            EnergyBudget(value)
+
     def test_distinct_points(self):
         config = Configuration(2, [[1, 0], [1, 0], [0, 1]])
         assert config.distinct_points().shape == (2, 2)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +109,27 @@ def distance_loop_decode(config: Configuration, samples: int, seed: int) -> MCRe
     return MCReport(float(np.sum(probs)), float(np.sqrt(variance)), samples, seed)
 
 
+def row_major_fraction(test, samples: int, seed: int, dimension: int) -> float:
+    """Reference: the share of RandomStream(seed, 0) draws that ``test``
+    accepts, drawn in chunks of 2**19 rows with one draw per row."""
+    stream = RandomStream(seed, 0)
+    hits = 0
+    for done in range(0, samples, 1 << 19):
+        g = stream.normal((min(1 << 19, samples - done), dimension))
+        hits += int(np.count_nonzero(test(g)))
+    return hits / samples
+
+
+def row_major_union(system: HalfspaceSystem):
+    """Reference: the union test as it was written on (m, dimension) draws."""
+    return lambda g: ((g / np.sqrt(2.0)) @ system.normals.T >= system.offsets).any(axis=1)
+
+
+def row_major_planks(system: PlankSystem):
+    """Reference: the plank test as it was written on (m, dimension) draws."""
+    return lambda g: (np.abs(g @ system.directions.T) <= system.halfwidths).all(axis=1)
+
+
 @st.composite
 def small_configurations(draw):
     """Dimensions 1-4, up to 8 points on a 0.1 lattice, maybe the origin and a duplicate."""
@@ -146,6 +169,53 @@ class TestHalfspaceForm:
         # lands at 3, well inside its own cell.
         monkeypatch.setattr(estimators, "RandomStream", OnesStream)
         assert mc_decode(Configuration(1, [[0.0], [2.0]]), 10, seed=0).estimate == 1.0
+
+
+@st.composite
+def small_systems(draw):
+    """Dimensions 1-4 with 1-5 rows on a 0.1 lattice: (rows, offsets)."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    coordinate = st.integers(min_value=-20, max_value=20).map(lambda c: c / 10)
+    rows = draw(st.lists(st.lists(coordinate, min_size=n, max_size=n)
+                         .filter(lambda r: any(r)), min_size=1, max_size=5))
+    offsets = draw(st.lists(coordinate, min_size=len(rows), max_size=len(rows)))
+    return np.array(rows), np.array(offsets)
+
+
+class TestWallMajorTests:
+    """The union and plank tests take (dimension, m) views; they must count
+    exactly the hits of their row-major forms."""
+
+    @given(small_systems(), st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_union_matches_row_major(self, rows_offsets, seed):
+        rows, offsets = rows_offsets
+        system = HalfspaceSystem(rows, offsets)
+        want = row_major_fraction(row_major_union(system), 3_000, seed, rows.shape[1])
+        assert union_measure(system, 3_000, seed)[0] == want
+
+    @given(small_systems(), st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_planks_match_row_major(self, rows_offsets, seed):
+        rows, offsets = rows_offsets
+        system = PlankSystem(rows / np.linalg.norm(rows, axis=1, keepdims=True),
+                             np.abs(offsets) + 0.05)
+        want = row_major_fraction(row_major_planks(system), 3_000, seed, rows.shape[1])
+        assert plank_product_gap(system, 3_000, seed)[0].estimate == want
+
+
+class TestChunkMemory:
+    def test_mc_decode_peak_stays_small(self):
+        # In chunks of 2**19 rows this peaked at 78 MiB: 24 MiB of draws,
+        # a 48 MiB (2**19, 12) product and its mask.
+        config = embed_antipodal(AntipodalLengths((0.6, 0.8, 1.0, 1.1, 1.3, 1.6), True))
+        tracemalloc.start()
+        try:
+            mc_decode(config, 1 << 19, seed=7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestFrozenEstimates:
@@ -197,6 +267,15 @@ class TestFrozenEstimatesSmallChunks(TestFrozenEstimates):
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
         monkeypatch.setattr(estimators, "_CHUNK", 997)
+
+
+class TestFrozenEstimatesLargeChunks(TestFrozenEstimates):
+    """The same pins with chunks of 2**19 rows, the chunk size the pins
+    were frozen at."""
+
+    @pytest.fixture(autouse=True)
+    def large_chunks(self, monkeypatch):
+        monkeypatch.setattr(estimators, "_CHUNK", 1 << 19)
 
 
 class TestPDirect:

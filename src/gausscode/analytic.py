@@ -33,6 +33,20 @@ along its own axis reduces P to one-dimensional integrals:
           + 2 sum_j int_{a_j/2}^inf phi(t - a_j)
               prod_{i != j} (2 Phi((a_i^2 + 2 a_j t - a_j^2)/(2 a_i)) - 1) dt
 
+* collapsed pairs: a pair of length zero puts both its points at the
+  origin, and any number of them make one origin point.  So a row of
+  lengths with zeros has the P of its positive lengths, in order, plus
+  the origin.
+
+  A stack of rows is evaluated as one array: each row's positive lengths
+  move to the front, in order, and the far length F = 1e150 pads the row
+  to the most positive lengths of any row.  The padding is exact.  In
+  cell j a far pair's box factor has argument about (F^2 - a_j^2)/(2F),
+  near 5e149, and its origin-cube factor is 2 Phi(F/2) - 1; both are
+  exactly 1.0 in floating point, and F^2 = 1e300 stays finite.  Factors
+  multiply along the pair axis in order, so trailing factors of 1.0
+  leave every bit of a product alone, and a far pair owns no cell.
+
 * regular m-simplex of circumradius r: decoding correctly from vertex v_1
   is the event <g, v_i - v_1> <= |v_i - v_1|^2 / 2 for all i.  The
   normalized variables X_i = <g, v_i - v_1>/|v_i - v_1| are standard
@@ -46,8 +60,6 @@ along its own axis reduces P to one-dimensional integrals:
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -66,6 +78,9 @@ from .gaussian import (
 
 METHOD_ANALYTIC = "analytic"
 METHOD_DIRECT = "direct"
+
+# The length that pads each row of a pair stack (see module notes).
+_FAR = 1e150
 
 
 @dataclass(frozen=True)
@@ -108,15 +123,7 @@ def p_steiner(k: int, a: float, spec: QuadratureSpec | None = None) -> ProbEstim
     return ProbEstimate(2.0 * k * integral + cube, METHOD_ANALYTIC, spec.abs_tol)
 
 
-@functools.lru_cache(maxsize=None)
-def _others(k: int) -> np.ndarray:
-    """Row j lists the k - 1 pair indices i != j, in order (read-only)."""
-    others = np.array([[i for i in range(k) if i != j] for j in range(k)], dtype=int)
-    others.flags.writeable = False
-    return others
-
-
-def _p_pairs_batch(
+def _p_pairs(
     lengths: np.ndarray, include_origin: bool, spec: QuadratureSpec | None = None
 ) -> np.ndarray:
     """P of each row of a (B, k) stack of nonnegative pair lengths, each row
@@ -126,24 +133,6 @@ def _p_pairs_batch(
     the origin point, counted once; ``include_origin`` adds it to every row.
     Row b's value is that of :func:`p_with_origin` or :func:`p_antipodal`
     on its positive lengths in order, bit for bit.
-    """
-    live = lengths > 0
-    counts = live.sum(axis=1).tolist()
-    order = sorted(range(len(counts)), key=counts.__getitem__)
-    blocks = []
-    for c, rows in itertools.groupby(order, key=counts.__getitem__):
-        rows = list(rows)
-        a = lengths[rows][live[rows]].reshape(len(rows), c)
-        blocks.append((a, include_origin or c < lengths.shape[1]))
-    out = np.empty(len(counts))
-    out[order] = _pair_cells(blocks, spec)
-    return out
-
-
-def _pair_cells(blocks, spec: QuadratureSpec | None) -> np.ndarray:
-    """P of each row of each block ``(a, with_origin)``, in order: ``a`` is an
-    (R, c) array of positive pair lengths, and ``with_origin`` says whether
-    its rows include the origin point.
 
     The cell of pair j is int_{lower_j}^{a_j + tail} phi(t - a_j)
     prod_{i != j} box_i(t) dt.  The box factor of pair i at depth t is
@@ -153,67 +142,56 @@ def _pair_cells(blocks, spec: QuadratureSpec | None) -> np.ndarray:
     round of refinement costs a single vectorized evaluation.
     """
     spec = spec or DEFAULT_QUADRATURE
-    n_cells = sum(a.size for a, _ in blocks)
-    most = max(a.shape[1] for a, _ in blocks)
-    # argument_{j,i}(t) = intercept_{j,i} + slope_{j,i} * t.  Cell j's own
-    # factor (i = j) would be exactly 1, so cell j keeps the pairs i != j,
-    # and a cell of a row with c pairs uses the first c - 1 rows here.
-    # Pairs first: the factors of one pair are then one contiguous block.
-    slope = np.empty((most - 1, n_cells))
-    intercept = np.empty((most - 1, n_cells))
-    lower, counts, ends = [], [], [0]
-    for a, with_origin in blocks:
-        n_rows, c = a.shape
-        cells = slice(ends[-1], ends[-1] + a.size)
-        square = a**2
-        pairs = a[:, _others(c)]
-        slope[: c - 1, cells] = (a[:, :, None] / pairs).reshape(a.size, c - 1).T
-        intercept[: c - 1, cells] = (
-            (pairs**2 - square[:, :, None]) / (2.0 * pairs)
-        ).reshape(a.size, c - 1).T
-        ends.append(cells.stop)
-        counts += [c] * n_rows
-        if with_origin:
-            # Cell j starts at a_j / 2, behind the origin's wall.
-            lower.append(0.5 * a)
-        else:
-            # Cell j starts where its slice box opens, at
-            # (a_j^2 - min_i a_i^2) / (2 a_j).
-            lower.append((square - square.min(axis=1, keepdims=True)) / (2.0 * a))
-    center = np.concatenate([a for a, _ in blocks], axis=None)
-    levels = [a.shape[1] - 1 for a, _ in blocks]
+    live = lengths > 0
+    counts = live.sum(axis=1)
+    with_origin = include_origin | (counts < lengths.shape[1])
+    # Each row's positive lengths move to the front, in order, and the far
+    # pair pads the row to the most live pairs of any row (see module
+    # notes); only the front pairs own cells.
+    k = counts.max()
+    front = np.arange(k) < counts[:, None]
+    a = np.full((len(counts), k), _FAR)
+    a[front] = lengths[live]
+    square = a**2
+    # Row j lists the k - 1 pair indices i != j, in order: cell j's own
+    # factor would be exactly 1.
+    others = np.arange(k - 1) + (np.arange(k - 1) >= np.arange(k)[:, None])
+    pairs = a[:, others]
+    # argument_{j,i}(t) = intercept_{j,i} + slope_{j,i} * t, pairs first: the
+    # factors of one pair are then one contiguous block.
+    slope = np.ascontiguousarray((a[:, :, None] / pairs)[front].T)
+    intercept = np.ascontiguousarray(
+        ((pairs**2 - square[:, :, None]) / (2.0 * pairs))[front].T
+    )
+    # Cell j starts at a_j / 2, behind the origin's wall, or else where its
+    # slice box opens, at (a_j^2 - min_i a_i^2) / (2 a_j).
+    lower = np.where(
+        with_origin[:, None],
+        0.5 * a,
+        (square - square.min(axis=1, keepdims=True)) / (2.0 * a),
+    )[front]
+    center = a[front]
 
     def integrand(t: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        # The panels come sorted by row, so each block's panels are one run.
-        cuts = [int(np.count_nonzero(owner < end)) for end in ends[1:-1]]
-        box = np.empty(t.shape)
-        for n, i, j in zip(levels, [0, *cuts], [*cuts, owner.size]):
-            if i == j:
-                continue
-            # Box factors of shape (pairs, panels, 15), multiplied over pairs
-            o = owner[i:j]
-            x = slope[:n].take(o, axis=1)[:, :, None] * t[i:j]
-            x += intercept[:n].take(o, axis=1)[:, :, None]
-            x = ndtr(x)  # one argument: perfbench's tracer wraps ndtr(x) to count
-            x *= 2.0
-            x -= 1.0
-            x.prod(axis=0, out=box[i:j])
+        # Box factors of shape (pairs, panels, 15), multiplied over pairs
+        x = slope.take(owner, axis=1)[:, :, None] * t
+        x += intercept.take(owner, axis=1)[:, :, None]
+        x = ndtr(x)  # one argument: perfbench's tracer wraps ndtr(x) to count
+        x *= 2.0
+        x -= 1.0
+        box = x.prod(axis=0)
         box *= normal_pdf(t - center[owner][:, None])
         return box
 
-    counts = np.array(counts)
-    row = np.repeat(np.arange(counts.size), counts)
+    row = np.repeat(np.arange(len(counts)), counts)
     tol_each = spec.abs_tol / (4.0 * counts)
     total = 2.0 * integrate_many(
-        integrand, np.concatenate(lower, axis=None), center + TAIL_SIGMAS,
-        tol_each[row], initial_panels=4, group=row,
+        integrand, lower, center + TAIL_SIGMAS, tol_each[row],
+        initial_panels=4, group=row,
     )
     # The origin's own cell is the box with half-widths a_i / 2.
-    cubes = [
-        (2.0 * ndtr(0.5 * a) - 1.0).prod(axis=1) if with_origin else np.zeros(len(a))
-        for a, with_origin in blocks
-    ]
-    return total + np.concatenate(cubes)
+    cube = (2.0 * ndtr(0.5 * a) - 1.0).prod(axis=1)
+    return total + np.where(with_origin, cube, 0.0)
 
 
 def p_antipodal(
@@ -228,7 +206,7 @@ def p_antipodal(
     if lengths.include_origin:
         raise ValueError("lengths.include_origin must be False; use p_with_origin")
     spec = spec or DEFAULT_QUADRATURE
-    value = _pair_cells([(np.array([lengths.lengths]), False)], spec)[0]
+    value = _p_pairs(np.array([lengths.lengths]), False, spec)[0]
     return ProbEstimate(value, METHOD_ANALYTIC, spec.abs_tol)
 
 
@@ -239,7 +217,7 @@ def p_with_origin(
     if not lengths.include_origin:
         raise ValueError("lengths.include_origin must be True; use p_antipodal")
     spec = spec or DEFAULT_QUADRATURE
-    value = _pair_cells([(np.array([lengths.lengths]), True)], spec)[0]
+    value = _p_pairs(np.array([lengths.lengths]), True, spec)[0]
     return ProbEstimate(value, METHOD_ANALYTIC, spec.abs_tol)
 
 

@@ -273,7 +273,7 @@ def cmd_scan(args) -> int:
 
 def cmd_compare(args) -> int:
     if args.m < 2:
-        raise ValueError("--m must be >= 2")
+        raise ValueError(f"m must be >= 2, got {args.m}")
     spec = QuadratureSpec(abs_tol=args.tol)
     factor = float(np.log2(args.m) / args.m)
     rows = [

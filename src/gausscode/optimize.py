@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import _p_pairs_batch
+from .analytic import _p_pairs
 from .configs import EnergyBudget
 from .gaussian import QuadratureError, QuadratureSpec, RandomStream
 
@@ -67,17 +67,21 @@ def objective(
     """P of the configuration given by pair lengths, merging zeros to the origin.
 
     Pairs with length <= 1e-6 put both their vectors at the origin, which
-    counts as a single origin point regardless of how many pairs collapse.
+    counts as a single origin point regardless of how many pairs collapse;
+    a negative or non-finite length is refused with ``ValueError``.
     ``lengths`` is one vector, which gives a float, or a (B, k) stack of
     them, which gives one P per row from one batched quadrature loop; each
     row's P is bit-identical to the row's own call.
     """
     given = np.asarray(lengths, dtype=float)
+    bad = given[~(np.isfinite(given) & (given >= 0))]
+    if bad.size:
+        raise ValueError(f"pair lengths must be finite and nonnegative, got {bad[0]}")
     rows = np.atleast_2d(given)
     rows = np.where(rows > _ZERO_FLOOR, rows, 0.0)
     if not rows.any(axis=1).all():
         raise ValueError("at least one pair length must exceed the zero floor")
-    p = _p_pairs_batch(rows, include_origin, spec)
+    p = _p_pairs(rows, include_origin, spec)
     return float(p[0]) if given.ndim == 1 else p
 
 

@@ -119,9 +119,13 @@ class TestEval:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("m", ["0", "1", "-2"])
-    def test_bad_simplex_m_exit_1(self, capsys, m):
-        code, out, err = run(capsys, "eval", "simplex", "--m", m, "--energy", "1")
+    @pytest.mark.parametrize("command,m", [
+        ("eval", "0"), ("eval", "1"), ("eval", "-2"), ("compare", "0"),
+    ], ids=["0", "1", "-2", "compare"])
+    def test_bad_simplex_m_exit_1(self, capsys, command, m):
+        argv = {"eval": ["eval", "simplex", "--m", m, "--energy", "1"],
+                "compare": ["compare", "--m", m, "--energies", "1"]}[command]
+        code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
         assert err == f"error: m must be >= 2, got {m}\n"

@@ -2,7 +2,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gausscode.optimize as opt
@@ -29,9 +29,19 @@ class TestObjective:
         )
 
     def test_zero_pair_merges_to_origin(self):
-        got = objective([1.0, 0.0])
-        want = p_with_origin(AntipodalLengths((1.0,), True)).value
-        assert got == pytest.approx(want, abs=1e-12)
+        # The positive lengths in order plus one origin point, bit for bit,
+        # with zeros at the front, in the middle and at the end.
+        for row in ([1.0, 0.0], [0.0, 1.3, 0.7], [1.3, 0.0, 0.7], [1.3, 0.7, 0.0],
+                    [0.0, 0.9, 5e-7, 1.2, 0.0]):
+            want = p_with_origin(AntipodalLengths(tuple(a for a in row if a > 1e-6), True))
+            assert repr(objective(row)) == repr(want.value), row
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.5, float("inf"), -float("inf")])
+    def test_rejects_negative_and_non_finite_lengths(self, bad):
+        with pytest.raises(ValueError, match=f"finite and nonnegative, got {bad}"):
+            objective([1.0, bad])
+        with pytest.raises(ValueError, match=f"finite and nonnegative, got {bad}"):
+            objective([[1.0, 0.5], [0.8, bad]], include_origin=True)
 
     def test_single_pair_closed_form(self):
         assert objective([1.3]) == pytest.approx(2 * normal_cdf(1.3), abs=1e-9)
@@ -48,6 +58,10 @@ class TestObjective:
         min_size=1, max_size=13)),
         st.booleans())
     @settings(max_examples=40, deadline=None)
+    # A mixed batch: one live pair (no other factor), a zero in the middle,
+    # and a full row.
+    @example([[0.0, 1.2, 0.0], [0.8, 0.0, 1.1], [0.5, 0.9, 1.3]], False)
+    @example([[0.0, 1.2, 0.0], [0.8, 0.0, 1.1], [0.5, 0.9, 1.3]], True)
     def test_stack_equals_rows(self, rows, include_origin):
         # One batched quadrature loop gives each row its own call's bits.
         stack = objective(np.array(rows), include_origin)

@@ -66,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .configs import AntipodalLengths
+from .configs import AntipodalLengths, checked_count
 from .gaussian import (
     DEFAULT_QUADRATURE,
     TAIL_SIGMAS,
@@ -107,8 +107,7 @@ def p_steiner(k: int, a: float, spec: QuadratureSpec | None = None) -> ProbEstim
     measure, 1.  How many points sit at the origin does not matter; the
     origin cell is counted once.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = checked_count("k", k, 1)
     if not (math.isfinite(a) and a >= 0):
         raise ValueError(f"length must be finite and nonnegative, got {a}")
     spec = spec or DEFAULT_QUADRATURE
@@ -228,8 +227,7 @@ def p_simplex(
 
     ``radius = 0`` is allowed: all vertices coincide and P = 1.
     """
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
+    m = checked_count("m", m, 2)
     if not (math.isfinite(radius) and radius >= 0):
         raise ValueError(f"radius must be finite and nonnegative, got {radius}")
     spec = spec or DEFAULT_QUADRATURE

@@ -30,7 +30,7 @@ from .estimators import (
     slice_identity_check,
 )
 from .gaussian import QuadratureError, QuadratureSpec, RandomStream
-from .optimize import OptimSettings, basin_hop, threshold_scan
+from .optimize import OptimSettings, basin_hop, optimize_rows, threshold_scan
 from .reporting import (
     FORMAT_CSV,
     FORMAT_TEXT,
@@ -39,10 +39,10 @@ from .reporting import (
     STEINER_ENERGY_GRID,
     STEINER_K_GRID,
     THRESHOLD_ENERGY_GRIDS,
-    optimize_rows,
     pair_length,
     render_optimize,
     render_steiner,
+    simplex_radius,
     steiner_grid,
 )
 
@@ -192,8 +192,6 @@ def _print_estimate(est) -> None:
 
 def cmd_eval(args) -> int:
     spec = QuadratureSpec(abs_tol=getattr(args, "tol", 1e-10))
-    if getattr(args, "energy", None) is not None and not args.energy >= 0:
-        raise ValueError(f"--energy must be a nonnegative number, got {args.energy}")
     if args.mode == "steiner":
         a = args.length if args.length is not None else pair_length(args.energy, args.k)
         _print_estimate(p_steiner(args.k, a, spec))
@@ -202,9 +200,7 @@ def cmd_eval(args) -> int:
         est = p_with_origin(lengths, spec) if args.with_origin else p_antipodal(lengths, spec)
         _print_estimate(est)
     elif args.mode == "simplex":
-        if args.m < 2:
-            raise ValueError(f"m must be >= 2, got {args.m}")
-        r = args.radius if args.radius is not None else float(np.sqrt(args.energy / args.m))
+        r = args.radius if args.radius is not None else simplex_radius(args.energy, args.m)
         _print_estimate(p_simplex(args.m, r, spec))
     elif args.mode == "mc":
         config = load_configuration(args.config)
@@ -272,16 +268,14 @@ def cmd_scan(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if args.m < 2:
-        raise ValueError(f"m must be >= 2, got {args.m}")
     spec = QuadratureSpec(abs_tol=args.tol)
-    factor = float(np.log2(args.m) / args.m)
     rows = [
         (e,
          p_with_origin(AntipodalLengths((pair_length(e, 1),), True), spec).value,
-         p_simplex(args.m, float(np.sqrt(e / args.m)), spec).value)
+         p_simplex(args.m, simplex_radius(e, args.m), spec).value)
         for e in args.energies
     ]
+    factor = float(np.log2(args.m) / args.m)
     header = f"{'E':>10} {'antipodal':>12} {'simplex':>12} {'difference':>12}"
     if args.per_codeword:
         header += f" {'antipodal*f':>12} {'simplex*f':>12}"

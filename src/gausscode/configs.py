@@ -13,6 +13,7 @@ versions of the package.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -91,6 +92,17 @@ class EnergyBudget:
         if not (np.isfinite(self.total) and self.total > 0):
             finite = "" if np.isfinite(self.total) else "finite and "
             raise ConfigurationError(f"total energy must be {finite}positive, got {self.total}")
+
+
+def checked_count(name: str, value, least: int) -> int:
+    """``value`` as an int >= ``least``; anything else, 2.5 say, is a ValueError."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < least:
+        raise ValueError(f"{name} must be >= {least}, got {count}")
+    return count
 
 
 def energy(config: Configuration) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import _p_pairs
-from .configs import EnergyBudget
+from .configs import EnergyBudget, checked_count
 from .gaussian import QuadratureError, QuadratureSpec, RandomStream
 
 
@@ -36,10 +36,8 @@ class OptimSettings:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.hops < 1:
-            raise ValueError(f"hops must be >= 1, got {self.hops}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        checked_count("hops", self.hops, 1)
+        checked_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -71,13 +69,18 @@ def objective(
     a negative or non-finite length is refused with ``ValueError``.
     ``lengths`` is one vector, which gives a float, or a (B, k) stack of
     them, which gives one P per row from one batched quadrature loop; each
-    row's P is bit-identical to the row's own call.
+    row's P is bit-identical to the row's own call.  An empty stack gives
+    an empty array.
     """
     given = np.asarray(lengths, dtype=float)
+    if given.ndim not in (1, 2):
+        raise ValueError(f"lengths must be a vector or a (B, k) stack, got shape {given.shape}")
     bad = given[~(np.isfinite(given) & (given >= 0))]
     if bad.size:
         raise ValueError(f"pair lengths must be finite and nonnegative, got {bad[0]}")
     rows = np.atleast_2d(given)
+    if not len(rows):
+        return np.empty(0)
     rows = np.where(rows > _ZERO_FLOOR, rows, 0.0)
     if not rows.any(axis=1).all():
         raise ValueError("at least one pair length must exceed the zero floor")
@@ -85,21 +88,7 @@ def objective(
     return float(p[0]) if given.ndim == 1 else p
 
 
-class _Evaluator:
-    """Sends length stacks to :func:`objective` and counts the work."""
-
-    def __init__(self, spec: QuadratureSpec | None) -> None:
-        self.spec = spec
-        self.evaluations = 0
-        self.batches = 0
-
-    def __call__(self, stack: np.ndarray) -> np.ndarray:
-        self.evaluations += len(stack)
-        self.batches += 1
-        return objective(stack, False, self.spec)
-
-
-def _lockstep(searches, evaluate: _Evaluator) -> list:
+def _lockstep(searches, evaluate) -> list:
     """Run independent searches side by side; returns their results in order.
 
     A search is a generator that yields a stack of candidate lengths, is
@@ -133,23 +122,29 @@ def _lengths(shares: np.ndarray, total_energy: float) -> np.ndarray:
     return np.sqrt(shares * (0.5 * total_energy))
 
 
-def _nelder_mead(t0: np.ndarray, max_iter: int, to_lengths):
-    """Maximize P over R^d by Nelder-Mead on -P, as a search for :func:`_lockstep`.
+def _refine_shares(shares0: np.ndarray, total_energy: float):
+    """Nelder-Mead ascent of P from a share vector, as a search for
+    :func:`_lockstep`; returns (shares, P, converged).
 
-    Yields ``to_lengths`` of each stack of points it needs: the initial
-    simplex, one trial point, or the shrunk vertices.  Returns (t_best,
-    -P_best, converged).
+    The simplex lives in R^(k-1), mapped onto the share simplex by
+    :func:`_project`.  Yields the lengths of each stack of points it needs:
+    the initial simplex, one trial point, or the shrunk vertices.  P depends
+    only on the multiset of lengths, so the start is sorted descending
+    first; permuted starts then follow bit-identical paths.
     """
-    d = t0.size
+    k = shares0.size
+    shares0 = np.sort(shares0)[::-1]
+    t0 = (shares0 / shares0.sum())[:-1]
+    d = k - 1
     verts = [t0]
     for i in range(d):
         v = t0.copy()
         v[i] += -0.1 if v[i] > 0.5 else 0.1
         verts.append(v)
     verts = np.array(verts)
-    vals = -(yield to_lengths(verts))
+    vals = -(yield _lengths(_project(verts), total_energy))
     converged = False
-    for _ in range(max_iter):
+    for _ in range(100 * k):
         order = np.argsort(vals, kind="stable")
         verts, vals = verts[order], vals[order]
         if vals[-1] - vals[0] <= _LOCAL_TOL:
@@ -157,10 +152,10 @@ def _nelder_mead(t0: np.ndarray, max_iter: int, to_lengths):
             break
         centroid = verts[:-1].sum(axis=0) / d  # the values of .mean(axis=0)
         reflected = centroid + (centroid - verts[-1])
-        f_r = -(yield to_lengths(reflected[None]))[0]
+        f_r = -(yield _lengths(_project(reflected[None]), total_energy))[0]
         if f_r < vals[0]:
             expanded = centroid + 2.0 * (centroid - verts[-1])
-            f_e = -(yield to_lengths(expanded[None]))[0]
+            f_e = -(yield _lengths(_project(expanded[None]), total_energy))[0]
             if f_e < f_r:
                 verts[-1], vals[-1] = expanded, f_e
             else:
@@ -169,31 +164,15 @@ def _nelder_mead(t0: np.ndarray, max_iter: int, to_lengths):
             verts[-1], vals[-1] = reflected, f_r
         else:
             contracted = centroid + 0.5 * (verts[-1] - centroid)
-            f_c = -(yield to_lengths(contracted[None]))[0]
+            f_c = -(yield _lengths(_project(contracted[None]), total_energy))[0]
             if f_c < vals[-1]:
                 verts[-1], vals[-1] = contracted, f_c
             else:
                 verts = verts[0] + 0.5 * (verts - verts[0])
-                vals = np.concatenate([vals[:1], -(yield to_lengths(verts[1:]))])
-    order = np.argsort(vals, kind="stable")
-    return verts[order[0]], vals[order[0]], converged
-
-
-def _refine_shares(shares0: np.ndarray, total_energy: float):
-    """Nelder-Mead ascent of P from a share vector, as a search for
-    :func:`_lockstep`; returns (shares, P, converged).
-
-    P depends only on the multiset of lengths, so the start is sorted
-    descending first; permuted starts then follow bit-identical paths.
-    """
-    k = shares0.size
-    shares0 = np.sort(shares0)[::-1]
-    shares0 = shares0 / shares0.sum()
-
-    t_best, f_best, converged = yield from _nelder_mead(
-        shares0[:-1].copy(), 100 * k, lambda ts: _lengths(_project(ts), total_energy)
-    )
-    return _project(t_best[None])[0], -f_best, converged
+                shrunk = -(yield _lengths(_project(verts[1:]), total_energy))
+                vals = np.concatenate([vals[:1], shrunk])
+    best = np.argsort(vals, kind="stable")[0]
+    return _project(verts[best][None])[0], -vals[best], converged
 
 
 def _snap_sorted(shares: np.ndarray, total_energy: float) -> tuple[float, ...]:
@@ -219,7 +198,7 @@ def _boundary_polish(
     shares: np.ndarray,
     p: float,
     total_energy: float,
-    evaluate: _Evaluator,
+    evaluate,
 ):
     """Probe zeroed pairs with tiny shares; several optima keep one genuinely
     small pair (lengths down to ~1e-2), which a simplex search that has
@@ -289,9 +268,14 @@ def basin_hop(
     benchmark still passes ``threads=1``.
     """
     settings = settings or OptimSettings()
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    evaluate = _Evaluator(spec)
+    k = checked_count("k", k, 1)
+    evaluations = batches = 0
+
+    def evaluate(stack: np.ndarray) -> np.ndarray:
+        nonlocal evaluations, batches
+        evaluations += len(stack)
+        batches += 1
+        return objective(stack, False, spec)
 
     def refine_all(starts):
         return _lockstep([_refine_shares(s, energy.total) for s in starts], evaluate)
@@ -306,7 +290,7 @@ def basin_hop(
     improved_at: list[int] = []
     for hop_index, (shares, p, conv) in enumerate(refined):
         key = _snap_sorted(shares, energy.total)
-        if p > best_p or (p == best_p and (best_key is None or key < best_key)):
+        if p > best_p or (p == best_p and key < best_key):
             if p > best_p:
                 improved_at.append(hop_index)
             best_shares, best_p, best_key, best_conv = shares, p, key, conv
@@ -347,9 +331,21 @@ def basin_hop(
         len(starts) + settings.hops,
         tuple(improved_at),
         best_conv,
-        evaluate.evaluations,
-        evaluate.batches,
+        evaluations,
+        batches,
     )
+
+
+def optimize_rows(
+    k: int,
+    energies,
+    settings: OptimSettings | None = None,
+    spec: QuadratureSpec | None = None,
+) -> list[OptimResult]:
+    """One basin-hopping result per energy at k pairs, the rows run one after
+    another.  Every energy is checked before the first hop."""
+    budgets = [EnergyBudget(e) for e in energies]
+    return [basin_hop(k, budget, settings, spec) for budget in budgets]
 
 
 def threshold_scan(
@@ -377,8 +373,7 @@ def threshold_scan(
         return lo > 0 and max(result.lengths) / lo < 1.05
 
     threshold = None
-    for e in energies:
-        result = basin_hop(k, EnergyBudget(e), settings, spec)
+    for e, result in zip(energies, optimize_rows(k, energies, settings, spec)):
         if all_equal(result):
             if threshold is None:
                 threshold = e

@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from .analytic import p_steiner
-from .configs import EnergyBudget
+from .configs import checked_count
 from .gaussian import QuadratureSpec
-from .optimize import OptimResult, OptimSettings, basin_hop
+from .optimize import OptimResult
 
 # Default evaluation grid for the k-equal-pairs-plus-origin table: energies
 # 0.1..1 by 0.1, 1.5..5 by 0.5, 10..100 by 5, 120..200 by 20, 300..1000 by 100.
@@ -47,11 +47,18 @@ FORMAT_TEXT = "structured-text"
 
 def pair_length(energy: float, k: int) -> float:
     """Length per pair when energy E is split over k equal pairs: sqrt(E/(2k))."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = checked_count("k", k, 1)
     if not energy >= 0:
         raise ValueError(f"energy must be a nonnegative number, got {energy}")
     return float(np.sqrt(energy / (2.0 * k)))
+
+
+def simplex_radius(energy: float, m: int) -> float:
+    """Radius of the regular m-simplex that spends energy E on m vertices: sqrt(E/m)."""
+    m = checked_count("m", m, 2)
+    if not energy >= 0:
+        raise ValueError(f"energy must be a nonnegative number, got {energy}")
+    return float(np.sqrt(energy / m))
 
 
 def steiner_grid(k_values, energies, spec: QuadratureSpec | None = None) -> np.ndarray:
@@ -61,18 +68,6 @@ def steiner_grid(k_values, energies, spec: QuadratureSpec | None = None) -> np.n
         for j, k in enumerate(k_values):
             grid[i, j] = p_steiner(k, pair_length(e, k), spec).value
     return grid
-
-
-def optimize_rows(
-    k: int,
-    energies,
-    settings: OptimSettings | None = None,
-    spec: QuadratureSpec | None = None,
-) -> list[OptimResult]:
-    """One basin-hopping result per energy at k pairs.  Every energy is
-    checked before the first hop."""
-    budgets = [EnergyBudget(e) for e in energies]
-    return [basin_hop(k, budget, settings, spec) for budget in budgets]
 
 
 def _render(output_format, note, title, labels, energies, rows, widths) -> str:

@@ -5,7 +5,7 @@ import pytest
 
 from reference_tables import OPT_TABLE_K3, OPT_TABLE_K4, OPT_TABLE_K5, OPT_TABLE_K6
 
-from gausscode import reporting
+from gausscode import cli, optimize
 from gausscode.cli import main
 from gausscode.analytic import p_steiner
 from gausscode.gaussian import QuadratureSpec
@@ -15,6 +15,7 @@ from gausscode.reporting import (
     THRESHOLD_ENERGY_GRIDS,
     pair_length,
     parse_steiner_csv,
+    simplex_radius,
 )
 
 
@@ -217,6 +218,19 @@ class TestTable:
         p_full = float(row[6])
         assert objective(full_lengths) == pytest.approx(p_full, abs=1e-9)
 
+    def test_optimize_kind_runs_through_optimize_rows(self, capsys, tmp_path, monkeypatch):
+        assert cli.optimize_rows is optimize.optimize_rows
+        calls, original = [], optimize.optimize_rows
+
+        def recording(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cli, "optimize_rows", recording)
+        code, _, _ = run(capsys, "table", *OPTIMIZE_ARGS, "--out", str(tmp_path / "o.csv"))
+        assert code == 0
+        assert [(k, energies) for k, energies, _, _ in calls] == [(3, (1.0, 2.5))]
+
     def test_optimize_requires_single_k(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["table", "--kind", "optimize", "--k-values", "2,3",
@@ -255,7 +269,7 @@ class TestTable:
     ])
     def test_bad_input_exit_1(self, capsys, tmp_path, monkeypatch, argv, message):
         hops = []
-        monkeypatch.setattr(reporting, "basin_hop", lambda *a: hops.append(a))
+        monkeypatch.setattr(optimize, "basin_hop", lambda *a: hops.append(a))
         out_path = tmp_path / "never.csv"
         code, out, err = run(capsys, "table", *argv, "--out", str(out_path))
         assert code == 1
@@ -315,6 +329,7 @@ class TestTableRequest:
     def test_pair_length_mapping(self):
         assert pair_length(2.0, 1) == pytest.approx(1.0)
         assert pair_length(8.0, 4) == pytest.approx(1.0)
+        assert simplex_radius(6.0, 3) == pytest.approx(np.sqrt(2.0))
 
     def test_zero_energy_grid_cell(self, capsys, tmp_path):
         out_path = tmp_path / "zero.csv"

@@ -18,7 +18,7 @@ def refine(lengths, total_energy):
     """One local refinement from feasible lengths: (sorted lengths, converged)."""
     shares = 2.0 * np.square(np.asarray(lengths, dtype=float)) / total_energy
     search = opt._refine_shares(shares / shares.sum(), total_energy)
-    shares, _, converged = opt._lockstep([search], opt._Evaluator(None))[0]
+    shares, _, converged = opt._lockstep([search], opt.objective)[0]
     return opt._snap_sorted(shares, total_energy), converged
 
 
@@ -42,6 +42,15 @@ class TestObjective:
             objective([1.0, bad])
         with pytest.raises(ValueError, match=f"finite and nonnegative, got {bad}"):
             objective([[1.0, 0.5], [0.8, bad]], include_origin=True)
+
+    def test_empty_stack_gives_empty_array(self):
+        got = objective(np.empty((0, 3)))
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 3), (2, 3, 4), (0, 2, 3), ()])
+    def test_rejects_other_than_vector_or_stack(self, shape):
+        with pytest.raises(ValueError, match=r"a vector or a \(B, k\) stack"):
+            objective(np.ones(shape))
 
     def test_single_pair_closed_form(self):
         assert objective([1.3]) == pytest.approx(2 * normal_cdf(1.3), abs=1e-9)
@@ -262,6 +271,17 @@ class TestThresholdScan:
     def test_k3_small_grid(self):
         got = threshold_scan(3, [1.0, 2.0, 3.0], OptimSettings(hops=12, seed=4))
         assert got == 2.0
+
+    def test_runs_its_grid_through_optimize_rows(self, monkeypatch):
+        calls, original = [], opt.optimize_rows
+
+        def recording(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(opt, "optimize_rows", recording)
+        assert threshold_scan(1, [0.5, 1.0], FAST) == 0.5
+        assert calls == [(1, [0.5, 1.0], FAST, None)]
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

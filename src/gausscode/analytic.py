@@ -16,7 +16,10 @@ along its own axis reduces P to one-dimensional integrals:
 
   The second term is the measure of the origin's cube-shaped cell; the
   integral is the measure of one axis cell, whose slice at depth b is a
-  (k-1)-cube of half-width b.
+  (k-1)-cube of half-width b.  A column of lengths at one k runs as one
+  :func:`integrate_many` loop, one group per length, bit for bit as each
+  length alone.  Its cubes stay scalar powers: NumPy's SIMD array
+  ``power`` can round off the scalar ``pow``.
 
 * unequal pairs +-a_i e_i (no origin): the slice of cell j at depth t is
   the box with half-widths (a_i^2 + 2 a_j t - a_j^2) / (2 a_i), nonempty
@@ -111,15 +114,20 @@ def p_steiner(k: int, a: float, spec: QuadratureSpec | None = None) -> ProbEstim
     if not (math.isfinite(a) and a >= 0):
         raise ValueError(f"length must be finite and nonnegative, got {a}")
     spec = spec or DEFAULT_QUADRATURE
+    value = _p_steiner_column(k, np.array([a], dtype=float), spec)[0]
+    return ProbEstimate(value, METHOD_ANALYTIC, spec.abs_tol)
+
+
+def _p_steiner_column(k: int, a: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
+    """P of k equal pairs plus the origin at each length in ``a`` (module notes)."""
+
+    def integrand(t: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        return normal_pdf(t - a[owner][:, None]) * (2.0 * ndtr(t) - 1.0) ** (k - 1)
+
     tol = spec.abs_tol / (4.0 * k)
-    inner = QuadratureSpec(abs_tol=tol)
-
-    def cube_slice(b: np.ndarray) -> np.ndarray:
-        return (2.0 * ndtr(b) - 1.0) ** (k - 1)
-
-    integral = integrate_gauss_tail(cube_slice, 0.5 * a, a, inner)
-    cube = (2.0 * ndtr(0.5 * a) - 1.0) ** k
-    return ProbEstimate(2.0 * k * integral + cube, METHOD_ANALYTIC, spec.abs_tol)
+    integral = integrate_many(integrand, 0.5 * a, a + TAIL_SIGMAS, tol, group=np.arange(a.size))
+    cube = [b**k for b in 2.0 * ndtr(0.5 * a) - 1.0]  # scalar powers (see module notes)
+    return 2.0 * k * integral + cube
 
 
 def _p_pairs(

@@ -41,18 +41,18 @@ class Configuration:
 
     def __post_init__(self) -> None:
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if self.dimension < 1:
-            raise ConfigurationError(f"dimension must be >= 1, got {self.dimension}")
+        dimension = checked_count("dimension", self.dimension, 1, ConfigurationError)
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ConfigurationError("points must be a nonempty 2-d array")
-        if pts.shape[1] != self.dimension:
+        if pts.shape[1] != dimension:
             raise DimensionMismatchError(
-                f"points have {pts.shape[1]} coordinates, expected {self.dimension}"
+                f"points have {pts.shape[1]} coordinates, expected {dimension}"
             )
         if not np.all(np.isfinite(pts)):
             raise ConfigurationError("all coordinates must be finite")
         pts = pts.copy()
         pts.flags.writeable = False
+        object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "points", pts)
 
     @property
@@ -94,14 +94,15 @@ class EnergyBudget:
             raise ConfigurationError(f"total energy must be {finite}positive, got {self.total}")
 
 
-def checked_count(name: str, value, least: int) -> int:
-    """``value`` as an int >= ``least``; anything else, 2.5 say, is a ValueError."""
+def checked_count(name: str, value, least: int, error: type[ValueError] = ValueError) -> int:
+    """``value`` as an int >= ``least``; anything else, 2.5 say, raises
+    ``error``, a ValueError or a subclass of it."""
     try:
         count = operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        raise error(f"{name} must be an integer, got {value!r}") from None
     if count < least:
-        raise ValueError(f"{name} must be >= {least}, got {count}")
+        raise error(f"{name} must be >= {least}, got {count}")
     return count
 
 
@@ -132,8 +133,7 @@ def regular_simplex(m: int, radius: float) -> Configuration:
     hyperplane orthogonal to (1, ..., 1) in R^m, so the construction is
     deterministic.
     """
-    if m < 2:
-        raise ConfigurationError(f"a simplex needs m >= 2 vertices, got {m}")
+    m = checked_count("m", m, 2, ConfigurationError)
     if not (np.isfinite(radius) and radius > 0):
         raise ConfigurationError(f"radius must be positive, got {radius}")
     helmert = np.zeros((m - 1, m))

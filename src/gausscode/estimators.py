@@ -37,7 +37,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .analytic import METHOD_DIRECT, ProbEstimate
-from .configs import Configuration
+from .configs import Configuration, checked_count
 from .gaussian import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
@@ -142,8 +142,8 @@ def _hit_fractions(
     (seed, i) in chunks of at most ``_CHUNK`` draws, so the shares do not
     depend on how the tests are spread over ``threads`` worker threads.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    samples = checked_count("samples", samples, 1)
+    threads = checked_count("threads", threads, 1)
 
     def fraction(i: int) -> float:
         stream = RandomStream(seed, i)

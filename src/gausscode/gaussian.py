@@ -16,6 +16,8 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtr
 
+from .configs import checked_count
+
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Truncation of semi-infinite Gaussian-weighted integrals, in standard
@@ -244,8 +246,8 @@ class RandomStream:
     _gen: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.seed < 0 or self.stream_index < 0:
-            raise ValueError("seed and stream_index must be nonnegative")
+        self.seed = checked_count("seed", self.seed, 0)
+        self.stream_index = checked_count("stream_index", self.stream_index, 0)
         self._gen = np.random.default_rng([self.seed, self.stream_index])
 
     def normal(self, shape=None) -> np.ndarray:

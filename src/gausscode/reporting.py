@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analytic import p_steiner
+from .analytic import _p_steiner_column
 from .configs import checked_count
-from .gaussian import QuadratureSpec
+from .gaussian import DEFAULT_QUADRATURE, QuadratureSpec
 from .optimize import OptimResult
 
 # Default evaluation grid for the k-equal-pairs-plus-origin table: energies
@@ -62,11 +62,13 @@ def simplex_radius(energy: float, m: int) -> float:
 
 
 def steiner_grid(k_values, energies, spec: QuadratureSpec | None = None) -> np.ndarray:
-    """P(k, E) over the grid; rows follow energies, columns k."""
-    grid = np.empty((len(energies), len(k_values)))
-    for i, e in enumerate(energies):
-        for j, k in enumerate(k_values):
-            grid[i, j] = p_steiner(k, pair_length(e, k), spec).value
+    """P(k, E) over the grid; rows follow energies, columns k.  Every pair
+    length is checked before any integral runs; then each k column is one
+    quadrature loop with the values of per-cell :func:`p_steiner` calls."""
+    lengths = [[pair_length(e, k) for k in k_values] for e in energies]
+    grid = np.reshape(lengths, (len(energies), len(k_values)))
+    for j, k in enumerate(k_values if grid.size else ()):
+        grid[:, j] = _p_steiner_column(int(k), grid[:, j], spec or DEFAULT_QUADRATURE)
     return grid
 
 

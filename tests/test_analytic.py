@@ -1,12 +1,24 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
-from gausscode.analytic import p_antipodal, p_simplex, p_steiner, p_with_origin
+from gausscode.analytic import (
+    _p_steiner_column,
+    p_antipodal,
+    p_simplex,
+    p_steiner,
+    p_with_origin,
+)
 from gausscode.configs import AntipodalLengths
 from gausscode.gaussian import QuadratureSpec, RandomStream, integrate_gauss_tail, normal_cdf
-from gausscode.reporting import pair_length
+from gausscode.reporting import (
+    STEINER_ENERGY_GRID,
+    STEINER_K_GRID,
+    pair_length,
+    steiner_grid,
+)
 
 
 def anti(*lengths, origin=False):
@@ -56,6 +68,43 @@ class TestSteiner:
         value = p_steiner(k, a).value
         n_distinct = 2 * k + 1 if a > 0 else 1
         assert 0 < value <= n_distinct + 1e-9
+
+
+def steiner_reference(k: int, a: float) -> str:
+    """repr of P for k equal pairs plus the origin, one length at a time: one
+    tail integral plus the origin cube as a scalar power."""
+    tail = integrate_gauss_tail(lambda b: (2.0 * ndtr(b) - 1.0) ** (k - 1),
+                                0.5 * a, a, QuadratureSpec(1e-10 / (4.0 * k)))
+    return repr(float(2.0 * k * tail + (2.0 * ndtr(0.5 * a) - 1.0) ** k))
+
+
+class TestSteinerColumn:
+    """One quadrature loop per k column gives each length's own value, bit for bit."""
+
+    def test_default_grid_equals_each_cell(self):
+        grid = steiner_grid(STEINER_K_GRID, STEINER_ENERGY_GRID)
+        for i, e in enumerate(STEINER_ENERGY_GRID):
+            for j, k in enumerate(STEINER_K_GRID):
+                a = pair_length(e, k)
+                want = steiner_reference(k, a)
+                assert repr(float(grid[i, j])) == repr(p_steiner(k, a).value) == want
+        # An array power for the origin cube rounds this cell 2e-15 lower.
+        cell = grid[STEINER_ENERGY_GRID.index(90.0), STEINER_K_GRID.index(5)]
+        assert repr(float(cell)) == "9.362777644164213"
+
+    @given(st.integers(min_value=1, max_value=20),
+           st.lists(st.floats(min_value=0.0, max_value=25.0), min_size=1, max_size=5))
+    @example(5, [3.0])  # E = 90, k = 5
+    @settings(max_examples=40, deadline=None)
+    def test_column_equals_each_length(self, k, lengths):
+        lengths = [*lengths, 0.0]
+        column = _p_steiner_column(k, np.array(lengths), QuadratureSpec())
+        for value, a in zip(column, lengths):
+            assert repr(float(value)) == repr(p_steiner(k, a).value) == steiner_reference(k, a)
+
+    def test_empty_grid(self):
+        assert steiner_grid([1, 2], []).shape == (0, 2)
+        assert steiner_grid([], [1.0]).shape == (1, 0)
 
 
 class TestAntipodal:

@@ -250,6 +250,18 @@ class TestTable:
         assert err == f"error: {message}, got {value}\n"
         assert not out_path.exists()
 
+    def test_failing_cells_exit_1(self, capsys, tmp_path):
+        # Cells at the two huge energies run out of subdivisions; one error
+        # line names one of them and no file is written.
+        out_path = tmp_path / "never.csv"
+        code, out, err = run(capsys, "table", "--kind", "steiner", "--k-values", "1-4",
+                             "--energies", "1,5.4e9,6e9", "--out", str(out_path))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: needed more than 2000 subdivisions on 1 interval(s)")
+        assert not out_path.exists()
+
     def test_unwritable_path_exit_1(self, capsys):
         code, _, err = run(capsys, "table", "--kind", "steiner", "--k-values", "1",
                            "--energies", "1.0", "--out", "/nonexistent-dir/x.csv")

@@ -111,15 +111,17 @@ def p_steiner(k: int, a: float, spec: QuadratureSpec | None = None) -> ProbEstim
     origin cell is counted once.
     """
     k = checked_count("k", k, 1)
-    if not (math.isfinite(a) and a >= 0):
-        raise ValueError(f"length must be finite and nonnegative, got {a}")
     spec = spec or DEFAULT_QUADRATURE
-    value = _p_steiner_column(k, np.array([a], dtype=float), spec)[0]
+    value = _p_steiner_column(k, np.array([float(a)]), spec)[0]
     return ProbEstimate(value, METHOD_ANALYTIC, spec.abs_tol)
 
 
 def _p_steiner_column(k: int, a: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
-    """P of k equal pairs plus the origin at each length in ``a`` (module notes)."""
+    """P of k equal pairs plus the origin at each length in ``a`` (module notes).
+    A length that is not finite and nonnegative is refused before any integral."""
+    bad = a[~(np.isfinite(a) & (a >= 0))]
+    if bad.size:
+        raise ValueError(f"length must be finite and nonnegative, got {bad[0]}")
 
     def integrand(t: np.ndarray, owner: np.ndarray) -> np.ndarray:
         return normal_pdf(t - a[owner][:, None]) * (2.0 * ndtr(t) - 1.0) ** (k - 1)

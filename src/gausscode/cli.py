@@ -2,15 +2,13 @@
 
 Exit codes: 0 on success, 1 on runtime or file errors, 2 on usage errors.
 Monte Carlo and optimizer commands are bit-reproducible for a fixed seed.
-``eval mc`` and ``check`` spread their Monte Carlo work over ``--threads``
-worker threads, with the same result for any thread count; ``table``
-accepts ``--threads`` and ignores it.
+All work runs in one thread: ``eval mc``, ``check`` and ``table`` accept
+``--threads`` and ignore it.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -79,10 +77,6 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _threads_default() -> int:
-    return os.cpu_count() or 1
-
-
 def _parse_threads(text: str) -> int:
     try:
         threads = int(text)
@@ -127,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev_mc.add_argument("--config", required=True)
     ev_mc.add_argument("--samples", type=int, default=1_000_000)
     ev_mc.add_argument("--seed", type=int, default=0)
-    ev_mc.add_argument("--threads", type=_parse_threads, default=_threads_default())
+    ev_mc.add_argument("--threads", type=_parse_threads, default=1, help="accepted and ignored")
 
     ev_direct = ev_modes.add_parser("direct", help="direct integration of a config file")
     ev_direct.add_argument("--config", required=True)
@@ -142,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     tb.add_argument("--tol", type=float, default=1e-10)
     tb.add_argument("--out", required=True)
     tb.add_argument("--format", choices=[FORMAT_CSV, FORMAT_TEXT], default=FORMAT_CSV)
-    tb.add_argument("--threads", type=_parse_threads, default=_threads_default(),
+    tb.add_argument("--threads", type=_parse_threads, default=1,
                     help="accepted and ignored; tables are computed serially")
     tb.add_argument("--hops", type=int, default=200)
     tb.add_argument("--seed", type=int, default=0)
@@ -178,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     ck = sub.add_parser("check", help="run the slicing / plank validation suite")
     ck.add_argument("--samples", type=int, default=100_000)
     ck.add_argument("--seed", type=int, default=0)
-    ck.add_argument("--threads", type=_parse_threads, default=_threads_default())
+    ck.add_argument("--threads", type=_parse_threads, default=1, help="accepted and ignored")
 
     return parser
 

@@ -21,16 +21,15 @@ Four independent routes:
   against the product of their marginal measures (the Sidak lower bound,
   an equality for mutually perpendicular planks).
 
-All Monte Carlo work runs through one runner, :func:`_hit_fractions`,
-which gives each per-point / per-level test the substream (seed, index),
-so estimates are reproducible and independent of how the work is
-scheduled across threads.  Tests see cache-sized chunks of draws as
-(dimension, m) views, so they compare (conditions, m) and reduce axis 0.
+All Monte Carlo work runs in the calling thread through one runner,
+:func:`_hit_fractions`, which gives each per-point / per-level test the
+substream (seed, index), so estimates are reproducible.  Tests see
+cache-sized chunks of draws as (dimension, m) views, so they compare
+(conditions, m) and reduce axis 0.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +86,8 @@ class HalfspaceSystem:
         offsets = np.atleast_1d(np.asarray(self.offsets, dtype=float))
         if normals.shape[0] != offsets.shape[0]:
             raise ValueError("one offset per normal required")
+        if not np.all(np.isfinite(normals)):
+            raise ValueError("all normals must be finite")
         if not np.all(np.linalg.norm(normals, axis=1) > 0):
             raise ValueError("all normals must be nonzero")
         if not np.all(np.isfinite(offsets)):
@@ -123,6 +124,8 @@ class PlankSystem:
         halfwidths = np.atleast_1d(np.asarray(self.halfwidths, dtype=float))
         if directions.shape[0] != halfwidths.shape[0] or directions.shape[0] < 1:
             raise ValueError("one halfwidth per direction required")
+        if not np.all(np.isfinite(directions)):
+            raise ValueError("directions must be finite")
         unit = np.abs(np.linalg.norm(directions, axis=1) - 1.0)
         if np.any(unit > 1e-12):
             raise ValueError("directions must be unit norm to 1e-12")
@@ -132,31 +135,22 @@ class PlankSystem:
         object.__setattr__(self, "halfwidths", halfwidths)
 
 
-def _hit_fractions(
-    tests, samples: int, seed: int, dimension: int, threads: int = 1
-) -> list[float]:
+def _hit_fractions(tests, samples: int, seed: int, dimension: int) -> list[float]:
     """Share of ``samples`` standard normal draws that each test accepts.
 
     Test i is a vectorized function of a (dimension, m) view whose columns
     are draws, returning one boolean per column; it draws from substream
-    (seed, i) in chunks of at most ``_CHUNK`` draws, so the shares do not
-    depend on how the tests are spread over ``threads`` worker threads.
+    (seed, i) in chunks of at most ``_CHUNK`` draws; callers check ``samples``.
     """
-    samples = checked_count("samples", samples, 1)
-    threads = checked_count("threads", threads, 1)
-
-    def fraction(i: int) -> float:
+    fractions = []
+    for i, test in enumerate(tests):
         stream = RandomStream(seed, i)
         hits = 0
         for done in range(0, samples, _CHUNK):
             g = stream.normal((min(_CHUNK, samples - done), dimension))
-            hits += int(np.count_nonzero(tests[i](g.T)))
-        return hits / samples
-
-    if threads > 1 and len(tests) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fraction, range(len(tests))))
-    return [fraction(i) for i in range(len(tests))]
+            hits += int(np.count_nonzero(test(g.T)))
+        fractions.append(hits / samples)
+    return fractions
 
 
 def mc_decode(
@@ -170,10 +164,12 @@ def mc_decode(
     inequality, so this is exactly "v_i + g is strictly closer to v_i than
     to every other point".  Exact ties count as incorrect (the wall set
     has measure zero, so the convention is estimate-neutral).  Point i
-    draws from substream (seed, i), making the result independent of
-    thread count; the standard error is the root-sum-square of the
+    draws from substream (seed, i) in the calling thread; ``threads`` is
+    checked and ignored.  The standard error is the root-sum-square of the
     per-point binomial errors.
     """
+    samples = checked_count("samples", samples, 1)
+    checked_count("threads", threads, 1)
     pts = config.distinct_points()
 
     def wall_test(i: int):
@@ -182,7 +178,7 @@ def mc_decode(
         return lambda g: (walls @ g < offsets[:, None]).all(axis=0)
 
     tests = [wall_test(i) for i in range(pts.shape[0])]
-    probs = _hit_fractions(tests, samples, seed, config.dimension, threads)
+    probs = _hit_fractions(tests, samples, seed, config.dimension)
 
     estimate = float(np.sum(probs))
     variance = float(np.sum([p * (1.0 - p) / samples for p in probs]))
@@ -283,7 +279,9 @@ def slice_identity_check(
         )
 
     tests = [_union_test(HalfspaceSystem.at_level(config, y)) for y in ys]
-    mus = _hit_fractions(tests, samples, seed, config.dimension, threads)
+    samples = checked_count("samples", samples, 1)
+    checked_count("threads", threads, 1)
+    mus = _hit_fractions(tests, samples, seed, config.dimension)
 
     ys_full = np.concatenate([[0.0], ys])
     mus_full = np.concatenate([[1.0], mus])
@@ -299,6 +297,7 @@ def plank_product_gap(
     with the exact product prod_i (2 Phi(h_i) - 1).  The measure dominates
     the product, with equality when the planks are mutually perpendicular.
     """
+    samples = checked_count("samples", samples, 1)
     halfwidths = system.halfwidths[:, None]
     (p,) = _hit_fractions(
         [lambda g: (np.abs(system.directions @ g) <= halfwidths).all(axis=0)],

@@ -2,9 +2,9 @@
 
 Provides the CDF/PDF pair, an adaptive Gauss-Kronrod integrator for
 Gaussian-weighted tail integrals, and deterministic seedable random
-streams.  Everything here is pure given its inputs; distinct
-``RandomStream`` instances may be used from different workers, but a
-single stream must not be advanced concurrently.
+streams.  Everything here is pure given its inputs.  The package draws
+every stream in the calling thread; a caller that shares one stream
+between threads must not advance it from two at once.
 """
 
 from __future__ import annotations
@@ -109,18 +109,19 @@ def integrate_many(
     each panel belongs to.
 
     Integral j adds to total ``group[j]`` (default: one group, 0), and the
-    result holds the totals of groups 0..max(group).  A group is computed
-    exactly as a call on its integrals alone would compute it, bit for bit:
-    its accepted panels are summed in that call's order, and it raises
-    :class:`QuadratureError` when that call would, once the group needs more
-    than ``max_subdivisions`` panel splits.  ``f`` sees the panels sorted
-    by group, each group's in that call's order.
+    result holds the totals of groups 0..max(group), none for an empty
+    ``group``.  A group is computed exactly as a call on its integrals alone
+    would compute it, bit for bit: its accepted panels are summed in that
+    call's order, and it raises :class:`QuadratureError` when that call
+    would, once the group needs more than ``max_subdivisions`` panel
+    splits.  ``f`` sees the panels sorted by group, each group's in that
+    call's order.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     tol = np.asarray(abs_tol_each, dtype=float)
     tol_scalar = float(tol) if tol.ndim == 0 else None
-    n_groups = 1 if group is None else int(group.max()) + 1
+    n_groups = 1 if group is None else int(group.max(initial=-1)) + 1
     widths = hi - lo
     # The values of np.linspace(lo, hi, initial_panels + 1, axis=1), at less
     # overhead per call.

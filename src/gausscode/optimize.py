@@ -264,8 +264,8 @@ def basin_hop(
     candidates batched into one quadrature loop per step: the k starts,
     and hops in speculative batches from the incumbent (see ``_HOP_BATCH``).
     The result is bit-identical to refining one candidate at a time.  Runs
-    in one thread; ``threads`` is accepted and ignored only because the
-    benchmark still passes ``threads=1``.
+    in the calling thread, as all of the package does; ``threads`` is
+    accepted and ignored.
     """
     settings = settings or OptimSettings()
     k = checked_count("k", k, 1)

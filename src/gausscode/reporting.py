@@ -67,7 +67,7 @@ def steiner_grid(k_values, energies, spec: QuadratureSpec | None = None) -> np.n
     quadrature loop with the values of per-cell :func:`p_steiner` calls."""
     lengths = [[pair_length(e, k) for k in k_values] for e in energies]
     grid = np.reshape(lengths, (len(energies), len(k_values)))
-    for j, k in enumerate(k_values if grid.size else ()):
+    for j, k in enumerate(k_values):
         grid[:, j] = _p_steiner_column(int(k), grid[:, j], spec or DEFAULT_QUADRATURE)
     return grid
 

@@ -61,6 +61,10 @@ class TestSteiner:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             p_steiner(3, a)
 
+    def test_rejects_non_number_length(self):
+        with pytest.raises(TypeError):
+            p_steiner(3, None)
+
     @given(st.integers(min_value=1, max_value=12),
            st.floats(min_value=0.0, max_value=8.0))
     @settings(max_examples=40, deadline=None)

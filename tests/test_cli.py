@@ -262,6 +262,15 @@ class TestTable:
         assert err.startswith("error: needed more than 2000 subdivisions on 1 interval(s)")
         assert not out_path.exists()
 
+    def test_infinite_energy_exit_1(self, capsys, tmp_path):
+        out_path = tmp_path / "never.csv"
+        code, out, err = run(capsys, "table", "--kind", "steiner", "--k-values", "2",
+                             "--energies", "inf", "--out", str(out_path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: length must be finite and nonnegative, got inf\n"
+        assert not out_path.exists()
+
     def test_unwritable_path_exit_1(self, capsys):
         code, _, err = run(capsys, "table", "--kind", "steiner", "--k-values", "1",
                            "--energies", "1.0", "--out", "/nonexistent-dir/x.csv")
@@ -469,6 +478,14 @@ class TestThreadReproducibility:
         _, out4, _ = run(capsys, "eval", "mc", "--config", cfg, "--samples", "50000",
                          "--seed", "3", "--threads", "4")
         assert out1 == out4
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "mc", "--config", "c.json"],
+        ["table", "--kind", "steiner", "--out", "t.csv"],
+        ["check"],
+    ], ids=["eval-mc", "table", "check"])
+    def test_threads_default_to_one(self, argv):
+        assert cli.build_parser().parse_args(argv).threads == 1
 
     def test_table_threads(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -337,6 +338,11 @@ class TestMeasureUnion:
         with pytest.raises(ValueError):
             HalfspaceSystem.at_level(Configuration(1, [[0.0], [1.0]]), 1.0)
 
+    @pytest.mark.parametrize("normal", [[np.inf, 1.0], [np.nan, 1.0], [-np.inf, 0.0]])
+    def test_rejects_non_finite_normals(self, normal):
+        with pytest.raises(ValueError, match="all normals must be finite"):
+            HalfspaceSystem([normal], [1.0])
+
 
 class TestSliceIdentity:
     def test_single_vector_total_mass(self):
@@ -393,6 +399,37 @@ class TestPlanks:
             PlankSystem([[1.0, 1.0]], [0.5])
         with pytest.raises(ValueError):
             PlankSystem([[1.0, 0.0]], [0.0])
+
+    @pytest.mark.parametrize("direction", [[np.nan, 0.0], [1.0, np.nan], [np.inf, 0.0]])
+    def test_rejects_non_finite_directions(self, direction):
+        with pytest.raises(ValueError, match="directions must be finite"):
+            PlankSystem([direction], [1.0])
+
+
+class TestOneThread:
+    """Every sample is drawn in the calling thread, whatever ``threads`` says."""
+
+    @pytest.fixture
+    def drawing_threads(self, monkeypatch):
+        seen = set()
+        normal = RandomStream.normal
+
+        def recording(stream, shape=None):
+            seen.add(threading.get_ident())
+            return normal(stream, shape)
+
+        monkeypatch.setattr(RandomStream, "normal", recording)
+        return seen
+
+    def test_mc_decode(self, drawing_threads):
+        config = embed_antipodal(AntipodalLengths((1.0, 0.6), True))
+        mc_decode(config, 2_000, seed=11, threads=4)
+        assert drawing_threads == {threading.get_ident()}
+
+    def test_slice_identity_check(self, drawing_threads):
+        y_grid = np.geomspace(1e-6, np.exp(1.0) * 100, 60)
+        slice_identity_check(PAIR, y_grid, 1_000, seed=3, threads=4)
+        assert drawing_threads == {threading.get_ident()}
 
 
 class TestOrthogonalIsBestMc:

@@ -160,6 +160,11 @@ class TestIntegrateMany:
     def test_adaptive_empty_range(self):
         assert integrate_adaptive(np.ones_like, 2.0, 2.0, 1e-10) == 0.0
 
+    def test_no_integrals(self):
+        f = lambda t, owner: np.ones_like(t)
+        assert integrate_many(f, [], [], 1e-10, group=np.arange(0)).shape == (0,)
+        assert integrate_many(f, [], [], 1e-10).tolist() == [0.0]
+
     def test_groups_are_bit_identical_to_own_calls(self):
         f = lambda t: np.cos(3.0 * t) * normal_pdf(t)
         lo, hi = [-1.0, 0.0, 0.3, -2.0, 0.5], [1.0, 2.0, 5.5, 0.0, 0.7]

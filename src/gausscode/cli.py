@@ -14,12 +14,7 @@ import sys
 import numpy as np
 
 from .analytic import p_antipodal, p_simplex, p_steiner, p_with_origin
-from .configs import (
-    AntipodalLengths,
-    ConfigurationError,
-    EnergyBudget,
-    load_configuration,
-)
+from .configs import AntipodalLengths, EnergyBudget, load_configuration
 from .estimators import (
     PlankSystem,
     mc_decode,
@@ -358,7 +353,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         parser.error(str(exc))  # exits 2
         return 2
-    except (ConfigurationError, OSError, QuadratureError, ValueError) as exc:
+    except (OSError, QuadratureError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -95,9 +95,11 @@ class EnergyBudget:
 
 
 def checked_count(name: str, value, least: int, error: type[ValueError] = ValueError) -> int:
-    """``value`` as an int >= ``least``; anything else, 2.5 say, raises
-    ``error``, a ValueError or a subclass of it."""
+    """``value`` as an int >= ``least``; anything else, 2.5 or True say,
+    raises ``error``, a ValueError or a subclass of it."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         count = operator.index(value)
     except TypeError:
         raise error(f"{name} must be an integer, got {value!r}") from None

@@ -6,8 +6,8 @@ Four independent routes:
   sent from v_i decodes to v_i exactly when g . w_j < |w_j|^2 / 2 for
   every w_j = v_j - v_i (j != i), which is |g|^2 < |g - w_j|^2 expanded,
   so each chunk of samples is tested with one matrix product.
-* :func:`p_direct` integrates max_i phi_n(x - v_i) over a box by iterated
-  adaptive quadrature (n <= 3).
+* :func:`p_direct` integrates max_i phi_n(x - v_i) over windows around the
+  points by iterated adaptive quadrature (n <= 3).
 * :func:`slice_identity_check` reconstructs P through the level-set
   representation over unions of halfspaces, under the variance-1/2
   Gaussian (density proportional to exp(-|x|^2)): with
@@ -200,13 +200,16 @@ _DIRECT_BLOCK = 1024
 def p_direct(config: Configuration, spec: QuadratureSpec | None = None):
     """Direct quadrature of P = int max_i phi_n(x - v_i) dx for n <= 3.
 
-    Integrates over the box [min coord - 9, max coord + 9] per axis
-    (truncation error below 1e-18 per point), with iterated adaptive
-    quadrature; inner levels run at a small fraction of the target so the
-    outer adaptive loop sees an effectively smooth integrand.  Each round
-    of a level integrates the next level at all of its nodes in one
-    :func:`integrate_many` loop, one group per node.  Absolute error <=
-    max(spec.abs_tol, 1e-7).
+    Integrates each axis over the union of the windows [c - 9, c + 9]
+    around the points' coordinates c (truncation error below 1e-18 per
+    point), with iterated adaptive quadrature; each window gets a share of
+    its level's tolerance in proportion to its width, and inner levels run
+    at a small fraction of the target so the outer adaptive loop sees an
+    effectively smooth integrand.  Each round of a level integrates the
+    next level at all of its nodes in one :func:`integrate_many` loop, one
+    group per node.  Absolute error <= max(spec.abs_tol, 1e-7).  A
+    coordinate too large for float64 to place nodes near it within that
+    error is refused with ``ValueError``.
     """
     spec = spec or DEFAULT_QUADRATURE
     n = config.dimension
@@ -216,18 +219,24 @@ def p_direct(config: Configuration, spec: QuadratureSpec | None = None):
         )
     pts = config.distinct_points()
     target = max(spec.abs_tol, 1e-7)
-    los = pts.min(axis=0) - 9.0
-    his = pts.max(axis=0) + 9.0
-    widths = his - los
+    far = np.abs(pts).max()
+    if np.spacing(far + 9.0) > target:
+        raise ValueError(f"coordinate {far:g} is too large to integrate to {target:g} in float64")
+    windows = []
+    for c in map(np.unique, pts.T):
+        gaps = np.flatnonzero(c[1:] - 9.0 > c[:-1] + 9.0)
+        windows.append((np.r_[c[0], c[gaps + 1]] - 9.0, np.r_[c[gaps], c[-1]] + 9.0))
 
     def level(axis: int, prefixes: np.ndarray, tol: float) -> np.ndarray:
         """Integrals over coordinate ``axis``, one per row of ``prefixes``
         (the coordinates before it)."""
-        inner_tol = tol / (4.0 * widths[axis])
+        lo, hi = windows[axis]
+        width = (hi - lo).sum()
+        inner_tol = tol / (4.0 * width)
 
         def f(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
             points = np.empty((x.size, axis + 1))
-            points[:, :axis] = prefixes[owner].repeat(x.shape[1], axis=0)
+            points[:, :axis] = prefixes[owner // lo.size].repeat(x.shape[1], axis=0)
             points[:, axis] = x.reshape(-1)
             if axis == n - 1:
                 return _max_density(pts, points).reshape(x.shape)
@@ -238,7 +247,8 @@ def p_direct(config: Configuration, spec: QuadratureSpec | None = None):
 
         m = len(prefixes)
         return integrate_many(
-            f, np.full(m, los[axis]), np.full(m, his[axis]), tol, group=np.arange(m),
+            f, np.tile(lo, m), np.tile(hi, m), np.tile(tol * ((hi - lo) / width), m),
+            group=np.arange(m).repeat(lo.size),
         )
 
     value = level(0, np.empty((1, 0)), target / 2.0)[0]

@@ -65,8 +65,9 @@ class QuadratureSpec:
     abs_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if not self.abs_tol > 0:
-            raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
+        if not (np.isfinite(self.abs_tol) and self.abs_tol > 0):
+            finite = "" if np.isfinite(self.abs_tol) else "finite and "
+            raise ValueError(f"abs_tol must be {finite}positive, got {self.abs_tol}")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -223,8 +224,6 @@ def integrate_gauss_tail(
     """
     spec = spec or DEFAULT_QUADRATURE
     hi = center + TAIL_SIGMAS
-    if lower >= hi:
-        return 0.0
 
     def weighted(t: np.ndarray) -> np.ndarray:
         return normal_pdf(t - center) * f(t)

@@ -194,17 +194,12 @@ def _structured_starts(k: int) -> list[np.ndarray]:
 _PROBE_SHARES = np.geomspace(1e-7, 3e-2, 13)
 
 
-def _boundary_polish(
-    shares: np.ndarray,
-    p: float,
-    total_energy: float,
-    evaluate,
-):
-    """Probe zeroed pairs with tiny shares; several optima keep one genuinely
-    small pair (lengths down to ~1e-2), which a simplex search that has
-    collapsed onto the boundary face cannot see on its own.  The probes of
-    one pair are one batch.  Each improving probe is refined before the next
-    pair is probed; P increases strictly, so the loop terminates."""
+def _boundary_polish(shares: np.ndarray, p: float, total_energy: float):
+    """Probe zeroed pairs with tiny shares, as a search for :func:`_lockstep`
+    that returns the snapped, sorted lengths and their P.  Several optima keep
+    one small pair (lengths down to ~1e-2), which a simplex search collapsed
+    onto the boundary face cannot see.  Each pair's probes are one stack, and
+    an improving probe is refined before the next pair; P rises strictly, so it ends."""
     floor_share = 2.0 * _ZERO_FLOOR**2 / total_energy
     improved = True
     while improved:
@@ -219,13 +214,13 @@ def _boundary_polish(
                 cand = (1.0 - delta) * cand / cand.sum()
                 cand[i] = delta
                 probes.append(cand)
-            values = evaluate(np.array([_lengths(c, total_energy) for c in probes]))
+            values = yield np.array([_lengths(c, total_energy) for c in probes])
             best = int(np.argmax(values))
             if values[best] > p:
-                search = _refine_shares(probes[best], total_energy)
-                shares, p, _ = _lockstep([search], evaluate)[0]
+                shares, p, _ = yield from _refine_shares(probes[best], total_energy)
                 improved = True
-    return shares, p
+    final = _snap_sorted(shares, total_energy)
+    return final, float((yield np.array([final]))[0])
 
 
 # Hops refined side by side, each kicked from the same incumbent.  After a
@@ -260,12 +255,12 @@ def basin_hop(
     prefer the lexicographically smallest sorted lengths, so the result is
     independent of how starts are scheduled.
 
-    Refinements that do not depend on each other run in lockstep, their
-    candidates batched into one quadrature loop per step: the k starts,
-    and hops in speculative batches from the incumbent (see ``_HOP_BATCH``).
-    The result is bit-identical to refining one candidate at a time.  Runs
-    in the calling thread, as all of the package does; ``threads`` is
-    accepted and ignored.
+    Every candidate reaches :func:`objective` through one :func:`_lockstep`
+    call per phase, which batches independent searches into one quadrature
+    loop per step: the k starts, each batch of speculative hops (see
+    ``_HOP_BATCH``), and the boundary polish.  The result is bit-identical
+    to refining one candidate at a time.  Runs in the calling thread, as
+    all of the package does; ``threads`` is accepted and ignored.
     """
     settings = settings or OptimSettings()
     k = checked_count("k", k, 1)
@@ -317,9 +312,8 @@ def basin_hop(
                 improved_at.append(len(starts) + h)
                 break
 
-    best_shares, best_p = _boundary_polish(best_shares, best_p, energy.total, evaluate)
-    final = _snap_sorted(best_shares, energy.total)
-    p_final = float(evaluate(np.array([final]))[0])
+    polish = _boundary_polish(best_shares, best_p, energy.total)
+    final, p_final = _lockstep([polish], evaluate)[0]
     achieved = 2.0 * float(np.sum(np.square(final)))
     if abs(achieved - energy.total) > 1e-9 * energy.total:
         raise RuntimeError(

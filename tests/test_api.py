@@ -45,10 +45,14 @@ def test_all_is_sorted_and_resolves():
     (lambda: RandomStream(1.5), "seed must be an integer, got 1.5"),
     (lambda: RandomStream(1, 0.5), "stream_index must be an integer, got 0.5"),
     (lambda: RandomStream(-1), "seed must be >= 0, got -1"),
+    (lambda: p_steiner(True, 1.0), "k must be an integer, got True"),
+    (lambda: mc_decode(PAIR, True, 0), "samples must be an integer, got True"),
+    (lambda: OptimSettings(hops=True), "hops must be an integer, got True"),
 ], ids=["p_steiner", "p_simplex", "p_simplex-float64", "hops", "seed", "basin_hop",
         "pair_length", "simplex_radius", "mc_decode-samples", "mc_decode-seed",
         "mc_decode-threads", "mc_decode-threads-0", "RandomStream-seed",
-        "RandomStream-stream_index", "RandomStream-negative"])
+        "RandomStream-stream_index", "RandomStream-negative", "p_steiner-bool",
+        "mc_decode-samples-bool", "hops-bool"])
 def test_non_integer_counts_refused(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
@@ -59,7 +63,9 @@ def test_non_integer_counts_refused(call, message):
     (lambda: regular_simplex(1, 1.0), "m must be >= 2, got 1"),
     (lambda: Configuration(2.0, [[1.0, 0.0]]), "dimension must be an integer, got 2.0"),
     (lambda: Configuration(0, [[1.0, 0.0]]), "dimension must be >= 1, got 0"),
-], ids=["regular_simplex", "regular_simplex-1", "Configuration", "Configuration-0"])
+    (lambda: Configuration(True, [[1.0]]), "dimension must be an integer, got True"),
+], ids=["regular_simplex", "regular_simplex-1", "Configuration", "Configuration-0",
+        "Configuration-bool"])
 def test_configuration_counts_refused(call, message):
     with pytest.raises(ConfigurationError, match=re.escape(message)):
         call()

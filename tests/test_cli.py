@@ -109,6 +109,13 @@ class TestEval:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "subdivisions" in err
 
+    def test_infinite_tolerance_exit_1(self, capsys):
+        code, out, err = run(capsys, "eval", "steiner", "--k", "2", "--length", "1",
+                             "--tol", "inf")
+        assert code == 1
+        assert out == ""
+        assert err == "error: abs_tol must be finite and positive, got inf\n"
+
     @pytest.mark.parametrize("mode,energy", [
         ("steiner", "inf"), ("steiner", "-1"), ("steiner", "nan"),
         ("simplex", "inf"), ("simplex", "-1"), ("simplex", "nan"),
@@ -287,6 +294,8 @@ class TestTable:
          "total energy must be positive, got 0.0"),
         (["--kind", "steiner", "--k-values", "1", "--energies", "1", "--tol", "-1"],
          "abs_tol must be positive, got -1.0"),
+        (["--kind", "steiner", "--k-values", "1", "--energies", "1", "--tol", "inf"],
+         "abs_tol must be finite and positive, got inf"),
     ])
     def test_bad_input_exit_1(self, capsys, tmp_path, monkeypatch, argv, message):
         hops = []

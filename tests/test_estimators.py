@@ -297,6 +297,20 @@ class TestPDirect:
         with pytest.raises(DimensionTooLargeError):
             p_direct(Configuration(4, [[0.0, 0.0, 0.0, 0.0]]))
 
+    def test_far_pair(self):
+        # One box around both points would start with panels so wide that
+        # every node misses both density bumps.
+        est = p_direct(Configuration(1, [[-1e6], [1e6]]))
+        assert est.value == pytest.approx(2.0, abs=1e-7)
+
+    def test_far_points_2d(self):
+        est = p_direct(Configuration(2, [[0.0, 0.0], [30.0, 0.0], [0.0, 1e5]]))
+        assert est.value == pytest.approx(3.0, abs=1e-7)
+
+    def test_unresolvable_coordinate_refused(self):
+        with pytest.raises(ValueError, match="coordinate 1e\\+200 is too large"):
+            p_direct(Configuration(2, [[0.0, 0.0], [1e200, 0.0]]))
+
     def test_cross_method_small_config(self):
         config = Configuration(2, [[0.9, 0.1], [-0.4, 0.8], [0.0, -1.1]])
         direct = p_direct(config)

@@ -130,6 +130,10 @@ class TestIntegrateGaussTail:
         with pytest.raises(ValueError):
             QuadratureSpec(abs_tol=0.0)
 
+    def test_spec_rejects_infinite_tolerance(self):
+        with pytest.raises(ValueError, match="abs_tol must be finite and positive, got inf"):
+            QuadratureSpec(abs_tol=float("inf"))
+
 
 class TestIntegrateMany:
     LO = [-1.0, 0.0, 0.3]

@@ -211,6 +211,14 @@ class TestWorkCounters:
         result = basin_hop(3, EnergyBudget(4.0), OptimSettings(hops=5))
         assert (result.evaluations, result.batches) == (479, 137)
 
+    @pytest.mark.parametrize("k, energy, counts", [(4, 2.0, (509, 290)),
+                                                   (6, 10.0, (1584, 840))])
+    def test_polished_rows(self, k, energy, counts):
+        # The boundary polish probes one zeroed pair at k = 4 and two at
+        # k = 6, and refines each improving probe.
+        result = basin_hop(k, EnergyBudget(energy), OptimSettings(hops=1))
+        assert (result.evaluations, result.batches) == counts
+
 
 class TestSpeculativeHops:
     def test_quadrature_error_in_a_hop_batch_falls_back_to_one_hop(self, monkeypatch):

@@ -67,17 +67,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .configs import AntipodalLengths, checked_count
 from .gaussian import (
     DEFAULT_QUADRATURE,
     TAIL_SIGMAS,
     QuadratureSpec,
+    deferred_ndtr,
     integrate_gauss_tail,
     integrate_many,
     normal_pdf,
 )
+
+ndtr = deferred_ndtr(globals())
 
 METHOD_ANALYTIC = "analytic"
 METHOD_DIRECT = "direct"
@@ -132,6 +134,17 @@ def _p_steiner_column(k: int, a: np.ndarray, spec: QuadratureSpec) -> np.ndarray
     return 2.0 * k * integral + cube
 
 
+def _overflow(lo: float, hi: float) -> str:
+    """Why the pair cells of lengths within [lo, hi] overflow float64: a
+    square, a slope a_j / a_i or slope * (a_j + TAIL_SIGMAS) is not finite.
+    Empty when they do not."""
+    if not math.isfinite(hi * hi):
+        return f"pair length {hi} is too large: its square overflows float64"
+    if not math.isfinite(hi / lo * (hi + TAIL_SIGMAS)):
+        return f"pair length {lo} is too small beside {hi}: the cell slopes overflow float64"
+    return ""
+
+
 def _p_pairs(
     lengths: np.ndarray, include_origin: bool, spec: QuadratureSpec | None = None
 ) -> np.ndarray:
@@ -148,10 +161,19 @@ def _p_pairs(
     2 Phi((a_i^2 + 2 a_j t - a_j^2)/(2 a_i)) - 1, an affine argument in t
     precomputed as slope/intercept per (j, i).  The cells of all rows run
     through one :func:`integrate_many` loop, one group per row, so each
-    round of refinement costs a single vectorized evaluation.
+    round of refinement costs a single vectorized evaluation.  A row whose
+    cells would overflow float64 (:func:`_overflow`) is refused with
+    ``ValueError`` before any integral.
     """
     spec = spec or DEFAULT_QUADRATURE
     live = lengths > 0
+    values = lengths[live]
+    # One test on the whole stack; only a stack that fails it is searched
+    # for the row at fault, so a row is refused exactly when it would be alone.
+    if _overflow(float(values.min()), float(values.max())):
+        for row in lengths:
+            if message := _overflow(float(row[row > 0].min()), float(row.max())):
+                raise ValueError(message)
     counts = live.sum(axis=1)
     with_origin = include_origin | (counts < lengths.shape[1])
     # Each row's positive lengths move to the front, in order, and the far
@@ -160,17 +182,18 @@ def _p_pairs(
     k = counts.max()
     front = np.arange(k) < counts[:, None]
     a = np.full((len(counts), k), _FAR)
-    a[front] = lengths[live]
+    a[front] = values
     square = a**2
     # Row j lists the k - 1 pair indices i != j, in order: cell j's own
     # factor would be exactly 1.
     others = np.arange(k - 1) + (np.arange(k - 1) >= np.arange(k)[:, None])
-    pairs = a[:, others]
+    pairs = a[:, others][front]
     # argument_{j,i}(t) = intercept_{j,i} + slope_{j,i} * t, pairs first: the
     # factors of one pair are then one contiguous block.
-    slope = np.ascontiguousarray((a[:, :, None] / pairs)[front].T)
+    center = a[front]
+    slope = np.ascontiguousarray((center[:, None] / pairs).T)
     intercept = np.ascontiguousarray(
-        ((pairs**2 - square[:, :, None]) / (2.0 * pairs))[front].T
+        ((pairs**2 - square[front][:, None]) / (2.0 * pairs)).T
     )
     # Cell j starts at a_j / 2, behind the origin's wall, or else where its
     # slice box opens, at (a_j^2 - min_i a_i^2) / (2 a_j).
@@ -179,7 +202,6 @@ def _p_pairs(
         0.5 * a,
         (square - square.min(axis=1, keepdims=True)) / (2.0 * a),
     )[front]
-    center = a[front]
 
     def integrand(t: np.ndarray, owner: np.ndarray) -> np.ndarray:
         # Box factors of shape (pairs, panels, 15), multiplied over pairs

@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .analytic import METHOD_DIRECT, ProbEstimate
 from .configs import Configuration, checked_count
@@ -41,8 +40,11 @@ from .gaussian import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
     RandomStream,
+    deferred_ndtr,
     integrate_many,
 )
+
+ndtr = deferred_ndtr(globals())
 
 # Rows per chunk: a 13-point chunk's draws, products and mask fit a 4 MiB L2.
 _CHUNK = 1 << 14

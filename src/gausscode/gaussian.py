@@ -5,6 +5,14 @@ Gaussian-weighted tail integrals, and deterministic seedable random
 streams.  Everything here is pure given its inputs.  The package draws
 every stream in the calling thread; a caller that shares one stream
 between threads must not advance it from two at once.
+
+Phi is SciPy's ufunc ``scipy.special.ndtr``, the package's one use of
+SciPy.  This module, ``analytic`` and ``estimators`` each bind the name
+``ndtr`` to a stand-in from :func:`deferred_ndtr`, which imports SciPy on
+the first Phi and rebinds the name to the ufunc.  So importing the
+package, Monte Carlo decoding, direct integration and configuration
+files never load SciPy, and after the first Phi the quadrature loops
+call the ufunc itself.
 """
 
 from __future__ import annotations
@@ -14,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from .configs import checked_count
 
@@ -71,6 +78,27 @@ class QuadratureSpec:
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
+
+
+def deferred_ndtr(namespace: dict) -> Callable:
+    """A stand-in for ``scipy.special.ndtr``, to be bound as ``namespace["ndtr"]``.
+
+    Its first call imports SciPy and rebinds ``namespace["ndtr"]`` to the
+    ufunc, unless something else was bound there since, which then stays.
+    Every call returns the ufunc's value, bit for bit.
+    """
+
+    def ndtr(*args, **kwargs):
+        from scipy.special import ndtr as ufunc
+
+        if namespace.get("ndtr") is ndtr:
+            namespace["ndtr"] = ufunc
+        return ufunc(*args, **kwargs)
+
+    return ndtr
+
+
+ndtr = deferred_ndtr(globals())
 
 
 def normal_cdf(x):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from gausscode.analytic import (
+    _p_pairs,
     _p_steiner_column,
     p_antipodal,
     p_simplex,
@@ -154,6 +155,36 @@ class TestWithOrigin:
     def test_requires_origin_flag(self):
         with pytest.raises(ValueError):
             p_with_origin(anti(1.0))
+
+
+class TestExtremePairLengths:
+    """Lengths whose cell slopes or squares overflow float64 are refused
+    before any integral; those just inside are evaluated without a warning."""
+
+    @pytest.mark.parametrize("fn,origin", [(p_with_origin, True), (p_antipodal, False)])
+    @pytest.mark.parametrize("tiny", [1e-320, 4e-309, 1e-308, 5.2e-308])
+    def test_tiny_beside_unit_refused(self, fn, origin, tiny):
+        with pytest.raises(ValueError, match=f"pair length {tiny} is too small beside 1.0"):
+            fn(anti(tiny, 1.0, origin=origin))
+
+    @pytest.mark.parametrize("fn,origin", [(p_with_origin, True), (p_antipodal, False)])
+    def test_square_overflow_refused(self, fn, origin):
+        with pytest.raises(ValueError, match="pair length 1e[+]160 is too large"):
+            fn(anti(1e160, 1.0, origin=origin))
+
+    @pytest.mark.parametrize("fn,origin", [(p_with_origin, True), (p_antipodal, False)])
+    @pytest.mark.parametrize("tiny", [1e-200, 5.3e-308])
+    def test_tiny_beside_unit_kept(self, fn, origin, tiny):
+        # The tiny pair's cell has measure 0 and its box factor is 1: the
+        # value of one pair plus the origin.
+        assert repr(fn(anti(tiny, 1.0, origin=origin)).value) == "1.7658498450960474"
+
+    def test_tiny_length_in_padded_stack(self):
+        # The short row is padded with far pairs, whose slopes over the tiny
+        # length would overflow; only the row's own cells are set up.
+        stack = _p_pairs(np.array([[1e-200, 1.0, 0.0], [1.0, 1.0, 1.0]]), False)
+        assert repr(float(stack[0])) == repr(p_with_origin(anti(1e-200, 1.0, origin=True)).value)
+        assert repr(float(stack[1])) == repr(p_antipodal(anti(1.0, 1.0, 1.0)).value)
 
 
 class TestSimplex:

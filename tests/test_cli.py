@@ -109,6 +109,13 @@ class TestEval:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "subdivisions" in err
 
+    def test_overflowing_lengths_exit_1(self, capsys):
+        code, out, err = run(capsys, "eval", "antipodal", "--lengths", "1e-320,1.0")
+        assert code == 1
+        assert out == ""
+        assert err == ("error: pair length 1e-320 is too small beside 1.0: "
+                       "the cell slopes overflow float64\n")
+
     def test_infinite_tolerance_exit_1(self, capsys):
         code, out, err = run(capsys, "eval", "steiner", "--k", "2", "--length", "1",
                              "--tol", "inf")

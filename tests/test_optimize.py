@@ -43,6 +43,13 @@ class TestObjective:
         with pytest.raises(ValueError, match=f"finite and nonnegative, got {bad}"):
             objective([[1.0, 0.5], [0.8, bad]], include_origin=True)
 
+    def test_overflowing_lengths_refused(self):
+        with pytest.raises(ValueError, match="pair length 1e[+]160 is too large"):
+            objective([1e160, 1.0])
+        # In a stack, the row at fault is named.
+        with pytest.raises(ValueError, match="pair length 1e[+]155 is too large"):
+            objective([[1.0, 0.5], [1e155, 2.0]])
+
     def test_empty_stack_gives_empty_array(self):
         got = objective(np.empty((0, 3)))
         assert isinstance(got, np.ndarray) and got.shape == (0,)

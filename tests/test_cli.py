@@ -510,3 +510,54 @@ class TestThreadReproducibility:
         run(capsys, *base, "--threads", "1", "--out", str(a))
         run(capsys, *base, "--threads", "4", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+# The options several subcommands share, with the defaults each one parses
+# from its minimal command line.
+SHARED_OPTIONS = ("tol", "threads", "seed", "hops")
+SURFACE = {
+    "eval-steiner": (["eval", "steiner", "--k", "2", "--length", "1"], {"tol": 1e-10}),
+    "eval-antipodal": (["eval", "antipodal", "--lengths", "1"], {"tol": 1e-10}),
+    "eval-simplex": (["eval", "simplex", "--m", "2", "--radius", "1"], {"tol": 1e-10}),
+    "eval-mc": (["eval", "mc", "--config", "c.json"], {"threads": 1, "seed": 0}),
+    "eval-direct": (["eval", "direct", "--config", "c.json"], {"tol": 1e-10}),
+    "table": (["table", "--kind", "steiner", "--out", "t.csv"],
+              {"tol": 1e-10, "threads": 1, "seed": 0, "hops": 200}),
+    "optimize": (["optimize", "--k", "2", "--energy", "4"],
+                 {"tol": 1e-10, "seed": 0, "hops": 200}),
+    "scan": (["scan"], {"seed": 1, "hops": 60}),
+    "compare": (["compare", "--m", "2", "--energies", "1"], {"tol": 1e-10}),
+    "check": (["check"], {"threads": 1, "seed": 0}),
+}
+SHARED_VALUES = {"tol": ("1e-8", 1e-8), "threads": ("3", 3), "seed": ("7", 7),
+                 "hops": ("5", 5)}
+
+
+class TestSurface:
+    @pytest.mark.parametrize("argv, expected", SURFACE.values(), ids=SURFACE.keys())
+    def test_shared_option_defaults(self, argv, expected):
+        args = cli.build_parser().parse_args(argv)
+        shared = {name: getattr(args, name) for name in SHARED_OPTIONS if hasattr(args, name)}
+        assert shared == expected
+        assert all(type(shared[name]) is type(expected[name]) for name in expected)
+
+    @pytest.mark.parametrize("argv, expected", SURFACE.values(), ids=SURFACE.keys())
+    def test_shared_option_values(self, argv, expected):
+        for name in expected:
+            text, value = SHARED_VALUES[name]
+            args = cli.build_parser().parse_args([*argv, f"--{name}", text])
+            assert getattr(args, name) == value
+            assert type(getattr(args, name)) is type(value)
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--k", "2", "--energy", "4", "--threads", "1"],
+        ["eval", "mc", "--config", "c.json", "--tol", "1e-8"],
+        ["scan", "--tol", "1e-8"],
+        ["compare", "--m", "2", "--energies", "1", "--seed", "1"],
+        ["check", "--hops", "5"],
+    ], ids=["optimize-threads", "eval-mc-tol", "scan-tol", "compare-seed", "check-hops"])
+    def test_unshared_options_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err

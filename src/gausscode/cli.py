@@ -14,8 +14,9 @@ import sys
 import numpy as np
 
 from .analytic import p_antipodal, p_simplex, p_steiner, p_with_origin
-from .configs import AntipodalLengths, EnergyBudget, load_configuration
+from .configs import AntipodalLengths, Configuration, EnergyBudget, load_configuration
 from .estimators import (
+    MCReport,
     PlankSystem,
     mc_decode,
     p_direct,
@@ -82,127 +83,125 @@ def _parse_threads(text: str) -> int:
     return threads
 
 
+def _shared_options() -> tuple[argparse.ArgumentParser, ...]:
+    """Parents declaring ``--tol``, ``--threads``, ``--seed`` and ``--hops``.
+    A subcommand's ``set_defaults`` rewrites its parents' actions, so one with
+    defaults of its own takes a set of its own."""
+    tol, threads, seed, hops = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    tol.add_argument("--tol", type=float, default=1e-10)
+    threads.add_argument("--threads", type=_parse_threads, default=1, help="accepted and ignored")
+    seed.add_argument("--seed", type=int, default=0)
+    hops.add_argument("--hops", type=int, default=200)
+    return tol, threads, seed, hops
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gausscode",
         description="Correct-decoding probability of point codes under Gaussian noise",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tol, threads, seed, hops = _shared_options()
 
     # eval ----------------------------------------------------------------
     ev = sub.add_parser("eval", help="evaluate P for one configuration")
     ev_modes = ev.add_subparsers(dest="mode", required=True)
 
-    ev_steiner = ev_modes.add_parser("steiner", help="k equal pairs plus origin")
+    ev_steiner = ev_modes.add_parser("steiner", parents=[tol], help="k equal pairs plus origin")
     ev_steiner.add_argument("--k", type=int, required=True)
     group = ev_steiner.add_mutually_exclusive_group(required=True)
     group.add_argument("--energy", type=float)
     group.add_argument("--length", type=float)
-    ev_steiner.add_argument("--tol", type=float, default=1e-10)
 
-    ev_anti = ev_modes.add_parser("antipodal", help="orthogonal pairs of given lengths")
+    ev_anti = ev_modes.add_parser("antipodal", parents=[tol],
+                                  help="orthogonal pairs of given lengths")
     ev_anti.add_argument("--lengths", type=_parse_floats, required=True)
     ev_anti.add_argument("--with-origin", action="store_true")
-    ev_anti.add_argument("--tol", type=float, default=1e-10)
 
-    ev_simplex = ev_modes.add_parser("simplex", help="regular m-simplex")
+    ev_simplex = ev_modes.add_parser("simplex", parents=[tol], help="regular m-simplex")
     ev_simplex.add_argument("--m", type=int, required=True)
     group = ev_simplex.add_mutually_exclusive_group(required=True)
     group.add_argument("--energy", type=float)
     group.add_argument("--radius", type=float)
-    ev_simplex.add_argument("--tol", type=float, default=1e-10)
 
-    ev_mc = ev_modes.add_parser("mc", help="Monte Carlo decoding of a config file")
+    ev_mc = ev_modes.add_parser("mc", parents=[threads, seed],
+                                help="Monte Carlo decoding of a config file")
     ev_mc.add_argument("--config", required=True)
     ev_mc.add_argument("--samples", type=int, default=1_000_000)
-    ev_mc.add_argument("--seed", type=int, default=0)
-    ev_mc.add_argument("--threads", type=_parse_threads, default=1, help="accepted and ignored")
 
-    ev_direct = ev_modes.add_parser("direct", help="direct integration of a config file")
+    ev_direct = ev_modes.add_parser("direct", parents=[tol],
+                                    help="direct integration of a config file")
     ev_direct.add_argument("--config", required=True)
-    ev_direct.add_argument("--tol", type=float, default=1e-10)
 
     # table ---------------------------------------------------------------
-    tb = sub.add_parser("table", help="emit a probability or optimization table")
+    tb = sub.add_parser("table", parents=[tol, threads, seed, hops],
+                        help="emit a probability or optimization table")
     tb.add_argument("--kind", choices=[KIND_STEINER, KIND_OPTIMIZE], required=True)
     tb.add_argument("--k-values", type=_parse_ints, default=None,
                     help="k columns (steiner) or the single k (optimize)")
     tb.add_argument("--energies", type=_parse_floats, default=None)
-    tb.add_argument("--tol", type=float, default=1e-10)
     tb.add_argument("--out", required=True)
     tb.add_argument("--format", choices=[FORMAT_CSV, FORMAT_TEXT], default=FORMAT_CSV)
-    tb.add_argument("--threads", type=_parse_threads, default=1,
-                    help="accepted and ignored; tables are computed serially")
-    tb.add_argument("--hops", type=int, default=200)
-    tb.add_argument("--seed", type=int, default=0)
 
     # optimize ------------------------------------------------------------
-    op = sub.add_parser("optimize", help="optimize pair lengths at one energy")
+    op = sub.add_parser("optimize", parents=[tol, seed, hops],
+                        help="optimize pair lengths at one energy")
     op.add_argument("--k", type=int, required=True)
     op.add_argument("--energy", type=float, required=True)
-    op.add_argument("--hops", type=int, default=200)
-    op.add_argument("--seed", type=int, default=0)
-    op.add_argument("--tol", type=float, default=1e-10)
 
     # scan ----------------------------------------------------------------
-    sc = sub.add_parser(
-        "scan", help="energy from which the optimum stays all-equal, per k"
-    )
-    sc.add_argument("--k-values", type=_parse_ints,
-                    default=tuple(THRESHOLD_ENERGY_GRIDS))
-    sc.add_argument("--hops", type=int, default=60)
-    sc.add_argument("--seed", type=int, default=1)
+    _, _, scan_seed, scan_hops = _shared_options()  # for defaults of scan's own
+    sc = sub.add_parser("scan", parents=[scan_seed, scan_hops],
+                        help="energy from which the optimum stays all-equal, per k")
+    sc.add_argument("--k-values", type=_parse_ints, default=tuple(THRESHOLD_ENERGY_GRIDS))
+    sc.set_defaults(hops=60, seed=1)
 
     # compare -------------------------------------------------------------
-    cp = sub.add_parser(
-        "compare", help="one antipodal pair plus origin vs the regular m-simplex"
-    )
+    cp = sub.add_parser("compare", parents=[tol],
+                        help="one antipodal pair plus origin vs the regular m-simplex")
     cp.add_argument("--m", type=int, required=True)
     cp.add_argument("--energies", type=_parse_floats, required=True)
     cp.add_argument("--per-codeword", action="store_true",
                     help="also scale by log2(N)/N with N = m")
-    cp.add_argument("--tol", type=float, default=1e-10)
 
     # check ---------------------------------------------------------------
-    ck = sub.add_parser("check", help="run the slicing / plank validation suite")
+    ck = sub.add_parser("check", parents=[threads, seed],
+                        help="run the slicing / plank validation suite")
     ck.add_argument("--samples", type=int, default=100_000)
-    ck.add_argument("--seed", type=int, default=0)
-    ck.add_argument("--threads", type=_parse_threads, default=1, help="accepted and ignored")
 
     return parser
 
 
 def _print_estimate(est) -> None:
-    print(f"value: {est.value!r}")
-    print(f"display: {est.value:.4f}")
-    print(f"method: {est.method}")
-    print(f"abs_error: {est.abs_error:g}")
+    """The lines of a quadrature :class:`ProbEstimate` or a Monte Carlo report."""
+    mc = isinstance(est, MCReport)
+    value = est.estimate if mc else est.value
+    print(f"value: {value!r}")
+    print(f"display: {value:.4f}")
+    print(f"method: {'montecarlo' if mc else est.method}")
+    if mc:
+        print(f"std_error: {est.std_error:g}\nsamples: {est.samples}\nseed: {est.seed}")
+    else:
+        print(f"abs_error: {est.abs_error:g}")
 
 
 def cmd_eval(args) -> int:
     spec = QuadratureSpec(abs_tol=getattr(args, "tol", 1e-10))
     if args.mode == "steiner":
         a = args.length if args.length is not None else pair_length(args.energy, args.k)
-        _print_estimate(p_steiner(args.k, a, spec))
+        est = p_steiner(args.k, a, spec)
     elif args.mode == "antipodal":
         lengths = AntipodalLengths(args.lengths, args.with_origin)
-        est = p_with_origin(lengths, spec) if args.with_origin else p_antipodal(lengths, spec)
-        _print_estimate(est)
+        est = (p_with_origin if args.with_origin else p_antipodal)(lengths, spec)
     elif args.mode == "simplex":
         r = args.radius if args.radius is not None else simplex_radius(args.energy, args.m)
-        _print_estimate(p_simplex(args.m, r, spec))
+        est = p_simplex(args.m, r, spec)
     elif args.mode == "mc":
         config = load_configuration(args.config)
-        report = mc_decode(config, args.samples, args.seed, threads=args.threads)
-        print(f"value: {report.estimate!r}")
-        print(f"display: {report.estimate:.4f}")
-        print("method: montecarlo")
-        print(f"std_error: {report.std_error:g}")
-        print(f"samples: {report.samples}")
-        print(f"seed: {report.seed}")
-    elif args.mode == "direct":
-        config = load_configuration(args.config)
-        _print_estimate(p_direct(config, spec))
+        est = mc_decode(config, args.samples, args.seed, threads=args.threads)
+    else:
+        est = p_direct(load_configuration(args.config), spec)
+    _print_estimate(est)
     return 0
 
 
@@ -287,8 +286,6 @@ _CHECK_DIRECT_SPEC = QuadratureSpec(abs_tol=1e-5)
 
 def cmd_check(args) -> int:
     """Slicing-identity and plank-product spot checks; nonzero exit on failure."""
-    from .configs import Configuration
-
     failures = 0
 
     def report(name: str, ok: bool, detail: str) -> None:
@@ -340,14 +337,8 @@ class UsageError(Exception):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "eval": cmd_eval,
-        "table": cmd_table,
-        "optimize": cmd_optimize,
-        "scan": cmd_scan,
-        "compare": cmd_compare,
-        "check": cmd_check,
-    }
+    handlers = {"eval": cmd_eval, "table": cmd_table, "optimize": cmd_optimize,
+                "scan": cmd_scan, "compare": cmd_compare, "check": cmd_check}
     try:
         return handlers[args.command](args)
     except UsageError as exc:

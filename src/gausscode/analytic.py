@@ -50,6 +50,16 @@ along its own axis reduces P to one-dimensional integrals:
   multiply along the pair axis in order, so trailing factors of 1.0
   leave every bit of a product alone, and a far pair owns no cell.
 
+* narrow layers: in cell j, pair i's box factor rises from its value at
+  the lower limit to 1 within a few a_i / a_j above it.  A cell starts
+  from 4 panels, and when a_i / a_j is below the gap from the lower limit
+  to the first Kronrod node, the rule need not see that rise at all: each
+  node reads the factor as 1 and the cell overstates P by up to about
+  0.64 a_i / a_j.  So such a cell is integrated again, whole and cut at
+  TAIL_SIGMAS * a_i / a_j above its lower limit for each such pair i; the
+  cut value is taken when the two differ by more than the cell's
+  tolerance.
+
 * regular m-simplex of circumradius r: decoding correctly from vertex v_1
   is the event <g, v_i - v_1> <= |v_i - v_1|^2 / 2 for all i.  The
   normalized variables X_i = <g, v_i - v_1>/|v_i - v_1| are standard
@@ -86,6 +96,10 @@ METHOD_DIRECT = "direct"
 
 # The length that pads each row of a pair stack (see module notes).
 _FAR = 1e150
+# Each pair cell starts from this many panels; the first Kronrod node of the
+# first one sits _FIRST_NODE of the cell's depth above its lower limit.
+_PANELS = 4
+_FIRST_NODE = (1.0 - 0.991455371120813) / (2 * _PANELS)
 
 
 @dataclass(frozen=True)
@@ -120,10 +134,13 @@ def p_steiner(k: int, a: float, spec: QuadratureSpec | None = None) -> ProbEstim
 
 def _p_steiner_column(k: int, a: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
     """P of k equal pairs plus the origin at each length in ``a`` (module notes).
-    A length that is not finite and nonnegative is refused before any integral."""
+    A length that is not finite and nonnegative, or whose square overflows
+    float64, is refused before any integral."""
     bad = a[~(np.isfinite(a) & (a >= 0))]
     if bad.size:
         raise ValueError(f"length must be finite and nonnegative, got {bad[0]}")
+    if a.size and (message := _too_large(float(a.max()))):
+        raise ValueError(message)
 
     def integrand(t: np.ndarray, owner: np.ndarray) -> np.ndarray:
         return normal_pdf(t - a[owner][:, None]) * (2.0 * ndtr(t) - 1.0) ** (k - 1)
@@ -134,12 +151,20 @@ def _p_steiner_column(k: int, a: np.ndarray, spec: QuadratureSpec) -> np.ndarray
     return 2.0 * k * integral + cube
 
 
+def _too_large(a: float) -> str:
+    """Why pair length ``a`` overflows float64, its square not being finite;
+    empty when it does not."""
+    if math.isfinite(a * a):
+        return ""
+    return f"pair length {a} is too large: its square overflows float64"
+
+
 def _overflow(lo: float, hi: float) -> str:
     """Why the pair cells of lengths within [lo, hi] overflow float64: a
     square, a slope a_j / a_i or slope * (a_j + TAIL_SIGMAS) is not finite.
     Empty when they do not."""
-    if not math.isfinite(hi * hi):
-        return f"pair length {hi} is too large: its square overflows float64"
+    if message := _too_large(hi):
+        return message
     if not math.isfinite(hi / lo * (hi + TAIL_SIGMAS)):
         return f"pair length {lo} is too small beside {hi}: the cell slopes overflow float64"
     return ""
@@ -203,6 +228,30 @@ def _p_pairs(
         (square - square.min(axis=1, keepdims=True)) / (2.0 * a),
     )[front]
 
+    row = np.repeat(np.arange(len(counts)), counts)
+    tol_each = (spec.abs_tol / (4.0 * counts))[row]
+    upper = center + TAIL_SIGMAS
+    total = 2.0 * integrate_many(
+        _cell_integrand(slope, intercept, center), lower, upper, tol_each,
+        initial_panels=_PANELS, group=row,
+    )
+    # Pair i's factor of cell j's box rises within a layer about a_i / a_j
+    # deep above the lower limit, which the nodes can miss where it is finer
+    # than the gap below the cell's first node (module notes).  Far pairs
+    # have no layer.
+    narrow = (slope * (_FIRST_NODE * (upper - lower)) > 1.0) & (pairs.T < _FAR)
+    if narrow.any():
+        np.add.at(total, row, _layer_correction(slope, intercept, center, lower, upper,
+                                                tol_each, narrow))
+    # The origin's own cell is the box with half-widths a_i / 2.
+    cube = (2.0 * ndtr(0.5 * a) - 1.0).prod(axis=1)
+    return total + np.where(with_origin, cube, 0.0)
+
+
+def _cell_integrand(slope: np.ndarray, intercept: np.ndarray, center: np.ndarray):
+    """The integrand f(t, owner) of the pair cells whose columns of box-factor
+    slopes and intercepts, and whose centers, are given (see :func:`_p_pairs`)."""
+
     def integrand(t: np.ndarray, owner: np.ndarray) -> np.ndarray:
         # Box factors of shape (pairs, panels, 15), multiplied over pairs
         x = slope.take(owner, axis=1)[:, :, None] * t
@@ -214,15 +263,43 @@ def _p_pairs(
         box *= normal_pdf(t - center[owner][:, None])
         return box
 
-    row = np.repeat(np.arange(len(counts)), counts)
-    tol_each = spec.abs_tol / (4.0 * counts)
-    total = 2.0 * integrate_many(
-        integrand, lower, center + TAIL_SIGMAS, tol_each[row],
-        initial_panels=4, group=row,
+    return integrand
+
+
+def _layer_correction(slope, intercept, center, lower, upper, tol, narrow) -> np.ndarray:
+    """What each cell adds to its P once its narrow layers are cut apart.
+
+    A cell with a narrow layer (``narrow[i, j]``: pair i's in cell j) is
+    integrated again whole and cut at TAIL_SIGMAS layer depths above its
+    lower limit, past which that pair's factor is 1 to double precision.
+    Each piece then holds at most one layer's rise, with its first node
+    far inside it.  The cut value replaces the whole one only when they
+    differ by more than the cell's tolerance, so a cell whose layers the
+    adaptive rule found keeps its value, bit for bit.
+    """
+    cells = np.flatnonzero(narrow.any(axis=0))
+    n = cells.size
+    depth = TAIL_SIGMAS / np.where(narrow[:, cells], slope[:, cells], np.inf)
+    edges = np.sort(np.vstack([lower[cells], lower[cells] + depth, upper[cells]]), axis=0).T
+    lo, hi = edges[:, :-1], edges[:, 1:]
+    # Empty pieces go: the cuts of other pairs sit on the lower limit, and
+    # equal pairs cut at one depth.
+    keep = hi > lo
+    pieces = keep.sum(axis=1)
+    whole_tol = tol[cells]
+    owner = np.concatenate([cells, np.repeat(cells, pieces)])
+    values = integrate_many(
+        _cell_integrand(slope[:, owner], intercept[:, owner], center[owner]),
+        np.concatenate([lower[cells], lo[keep]]),
+        np.concatenate([upper[cells], hi[keep]]),
+        np.concatenate([whole_tol, np.repeat(whole_tol / pieces, pieces)]),
+        initial_panels=_PANELS,
+        group=np.concatenate([np.arange(n), n + np.repeat(np.arange(n), pieces)]),
     )
-    # The origin's own cell is the box with half-widths a_i / 2.
-    cube = (2.0 * ndtr(0.5 * a) - 1.0).prod(axis=1)
-    return total + np.where(with_origin, cube, 0.0)
+    change = values[n:] - values[:n]
+    correction = np.zeros(len(lower))
+    correction[cells] = np.where(np.abs(change) > whole_tol, 2.0 * change, 0.0)
+    return correction
 
 
 def p_antipodal(

@@ -137,7 +137,8 @@ def regular_simplex(m: int, radius: float) -> Configuration:
     """
     m = checked_count("m", m, 2, ConfigurationError)
     if not (np.isfinite(radius) and radius > 0):
-        raise ConfigurationError(f"radius must be positive, got {radius}")
+        finite = "" if np.isfinite(radius) else "finite and "
+        raise ConfigurationError(f"radius must be {finite}positive, got {radius}")
     helmert = np.zeros((m - 1, m))
     for j in range(1, m):
         helmert[j - 1, :j] = 1.0

@@ -284,10 +284,11 @@ def slice_identity_check(
     ys = np.sort(np.asarray(y_grid, dtype=float))
     if ys.size < 2 or not np.all(ys > 0):
         raise GridCoverageError("y_grid must contain at least 2 positive levels")
-    envelope = float(np.exp(((config.distinct_points() ** 2).sum(axis=1)).max()))
-    if ys[-1] < envelope:
+    # Logs of the levels: the envelope itself overflows once |v|^2 > 709.78.
+    log_envelope = float(((config.distinct_points() ** 2).sum(axis=1)).max())
+    if np.log(ys[-1]) < log_envelope:
         raise GridCoverageError(
-            f"y_max = {ys[-1]:g} is below the level envelope {envelope:g}"
+            f"y_max = {ys[-1]:g} is below the level envelope exp({log_envelope:g})"
         )
 
     tests = [_union_test(HalfspaceSystem.at_level(config, y)) for y in ys]

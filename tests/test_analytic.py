@@ -12,7 +12,8 @@ from gausscode.analytic import (
     p_steiner,
     p_with_origin,
 )
-from gausscode.configs import AntipodalLengths
+from gausscode.configs import AntipodalLengths, Configuration
+from gausscode.estimators import p_direct
 from gausscode.gaussian import QuadratureSpec, RandomStream, integrate_gauss_tail, normal_cdf
 from gausscode.reporting import (
     STEINER_ENERGY_GRID,
@@ -172,6 +173,11 @@ class TestExtremePairLengths:
         with pytest.raises(ValueError, match="pair length 1e[+]160 is too large"):
             fn(anti(1e160, 1.0, origin=origin))
 
+    @pytest.mark.parametrize("length,shown", [(3e154, "3e[+]154"), (1e300, "1e[+]300")])
+    def test_steiner_square_overflow_refused(self, length, shown):
+        with pytest.raises(ValueError, match=f"pair length {shown} is too large: its square"):
+            p_steiner(3, length)
+
     @pytest.mark.parametrize("fn,origin", [(p_with_origin, True), (p_antipodal, False)])
     @pytest.mark.parametrize("tiny", [1e-200, 5.3e-308])
     def test_tiny_beside_unit_kept(self, fn, origin, tiny):
@@ -185,6 +191,53 @@ class TestExtremePairLengths:
         stack = _p_pairs(np.array([[1e-200, 1.0, 0.0], [1.0, 1.0, 1.0]]), False)
         assert repr(float(stack[0])) == repr(p_with_origin(anti(1e-200, 1.0, origin=True)).value)
         assert repr(float(stack[1])) == repr(p_antipodal(anti(1.0, 1.0, 1.0)).value)
+
+
+class TestNarrowLayers:
+    """A pair far shorter than pair j opens cell j's box within a layer
+    about their length ratio deep, finer than the cell's first panels."""
+
+    @pytest.mark.parametrize("fn,origin", [(p_with_origin, True), (p_antipodal, False)])
+    @pytest.mark.parametrize("tiny", [1e-8, 1e-6, 1e-4, 6e-4])
+    def test_tiny_beside_unit_matches_direct(self, fn, origin, tiny):
+        points = [[1.0, 0.0], [-1.0, 0.0], [0.0, tiny], [0.0, -tiny]] + [[0.0, 0.0]] * origin
+        direct = p_direct(Configuration(2, points), QuadratureSpec(1e-9)).value
+        assert fn(anti(1.0, tiny, origin=origin)).value == pytest.approx(direct, abs=1e-9)
+
+    # 30 digits from mpmath 1.3.0, each cell broken inside its layers:
+    #
+    #   from mpmath import mp, mpf, quad, ncdf, npdf
+    #   mp.dps = 30
+    #   def p(lengths, origin):
+    #       a = [mpf(x) for x in lengths]
+    #       total = mp.fprod(2 * ncdf(x / 2) - 1 for x in a) if origin else mpf(0)
+    #       for j, aj in enumerate(a):
+    #           others = a[:j] + a[j + 1:]
+    #           lo = aj / 2 if origin else (aj**2 - min(a) ** 2) / (2 * aj)
+    #           f = lambda t: npdf(t - aj) * mp.fprod(
+    #               2 * ncdf((ai**2 + 2 * aj * t - aj**2) / (2 * ai)) - 1 for ai in others)
+    #           cuts = {lo + m * ai / aj for ai in others for m in (0.3, 1, 3, 10, 30)}
+    #           total += 2 * quad(f, sorted(c for c in cuts | {lo, aj + 3} if c < aj + 3)
+    #                                + [mp.inf])
+    #       return total
+    #
+    # (1.0, 3e-4, 1e-5) has two narrow layers in the unit pair's cell: cut
+    # at the finer one only, that cell still overstates P by 1.2e-4.
+    @pytest.mark.parametrize("lengths,origin,want", [
+        ((2.0, 0.1, 4e-5), False, "2.42103625361907327988262446871"),
+        ((1.0, 0.3, 1e-4), True, "1.88800072909522705773047759518"),
+        ((1.0, 3e-4, 1e-5), False, "1.76594158702085744849237330103"),
+        ((1.0, 3e-4, 1e-5), True, "1.76594158702085744849694243768"),
+    ])
+    def test_three_pairs_match_mpmath(self, lengths, origin, want):
+        fn = p_with_origin if origin else p_antipodal
+        assert fn(anti(*lengths, origin=origin)).value == pytest.approx(float(want), abs=1e-10)
+
+    def test_rows_in_a_stack_as_alone(self):
+        rows = np.array([[1.0, 1e-4, 0.0], [1.0, 0.5, 0.3], [2.0, 0.1, 4e-5], [1e-5, 1.0, 3e-4]])
+        stack = _p_pairs(rows, False)
+        alone = [_p_pairs(row[None], False)[0] for row in rows]
+        assert [repr(v) for v in stack] == [repr(v) for v in alone]
 
 
 class TestSimplex:

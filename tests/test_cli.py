@@ -116,6 +116,12 @@ class TestEval:
         assert err == ("error: pair length 1e-320 is too small beside 1.0: "
                        "the cell slopes overflow float64\n")
 
+    def test_overflowing_steiner_length_exit_1(self, capsys):
+        code, out, err = run(capsys, "eval", "steiner", "--k", "3", "--length", "3e154")
+        assert code == 1
+        assert out == ""
+        assert err == "error: pair length 3e+154 is too large: its square overflows float64\n"
+
     def test_infinite_tolerance_exit_1(self, capsys):
         code, out, err = run(capsys, "eval", "steiner", "--k", "2", "--length", "1",
                              "--tol", "inf")

@@ -105,6 +105,17 @@ class TestRegularSimplex:
         with pytest.raises(ConfigurationError):
             regular_simplex(3, 0.0)
 
+    @pytest.mark.parametrize("radius,message", [
+        (0.0, "radius must be positive, got 0.0"),
+        (-1.5, "radius must be positive, got -1.5"),
+        (float("inf"), "radius must be finite and positive, got inf"),
+        (float("nan"), "radius must be finite and positive, got nan"),
+    ])
+    def test_radius_messages(self, radius, message):
+        with pytest.raises(ConfigurationError) as err:
+            regular_simplex(3, radius)
+        assert str(err.value) == message
+
 
 class TestFileRoundTrip:
     def test_round_trip(self, tmp_path):

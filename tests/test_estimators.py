@@ -375,6 +375,13 @@ class TestSliceIdentity:
         with pytest.raises(GridCoverageError):
             slice_identity_check(PAIR, np.geomspace(1e-6, 1.0, 50), 1000, seed=0)
 
+    def test_coverage_guard_past_exp_overflow(self):
+        # exp(900) overflows float64: the guard compares logs of the levels.
+        far = Configuration(1, [[30.0], [-30.0]])
+        with pytest.raises(GridCoverageError) as err:
+            slice_identity_check(far, np.geomspace(1e-6, 1e300, 50), 1000, seed=0)
+        assert str(err.value) == "y_max = 1e+300 is below the level envelope exp(900)"
+
     @pytest.mark.parametrize("samples", [0, -3])
     def test_sample_validation(self, samples):
         y_grid = np.geomspace(1e-6, np.exp(1.0) * 100, 60)

@@ -269,36 +269,41 @@ def _cell_integrand(slope: np.ndarray, intercept: np.ndarray, center: np.ndarray
 def _layer_correction(slope, intercept, center, lower, upper, tol, narrow) -> np.ndarray:
     """What each cell adds to its P once its narrow layers are cut apart.
 
-    A cell with a narrow layer (``narrow[i, j]``: pair i's in cell j) is
-    integrated again whole and cut at TAIL_SIGMAS layer depths above its
-    lower limit, past which that pair's factor is 1 to double precision.
-    Each piece then holds at most one layer's rise, with its first node
-    far inside it.  The cut value replaces the whole one only when they
-    differ by more than the cell's tolerance, so a cell whose layers the
-    adaptive rule found keeps its value, bit for bit.
+    The layers of a cell with a narrow one (``narrow[i, j]``: pair i's in
+    cell j) lie in the first of its starting panels, which
+    :func:`integrate_many` refines apart from the others.  So only that
+    panel is integrated again: whole, and cut TAIL_SIGMAS layer depths
+    above the lower limit, past which the pair's factor is 1 to double
+    precision, for each narrow pair.  Each piece then holds at most one
+    layer's rise, with its first node far inside it.  The cut value
+    replaces the whole one only when they differ by more than the cell's
+    tolerance, so a cell whose layers the adaptive rule found keeps its
+    value, bit for bit.
     """
     cells = np.flatnonzero(narrow.any(axis=0))
     n = cells.size
+    bottom = lower[cells]
+    top = (upper[cells] - bottom) / _PANELS + bottom  # integrate_many's first edge
     depth = TAIL_SIGMAS / np.where(narrow[:, cells], slope[:, cells], np.inf)
-    edges = np.sort(np.vstack([lower[cells], lower[cells] + depth, upper[cells]]), axis=0).T
+    edges = np.sort(np.vstack([bottom, bottom + depth, top]), axis=0).T
     lo, hi = edges[:, :-1], edges[:, 1:]
     # Empty pieces go: the cuts of other pairs sit on the lower limit, and
     # equal pairs cut at one depth.
     keep = hi > lo
     pieces = keep.sum(axis=1)
-    whole_tol = tol[cells]
+    panel_tol = tol[cells] / _PANELS
     owner = np.concatenate([cells, np.repeat(cells, pieces)])
     values = integrate_many(
         _cell_integrand(slope[:, owner], intercept[:, owner], center[owner]),
-        np.concatenate([lower[cells], lo[keep]]),
-        np.concatenate([upper[cells], hi[keep]]),
-        np.concatenate([whole_tol, np.repeat(whole_tol / pieces, pieces)]),
-        initial_panels=_PANELS,
+        np.concatenate([bottom, lo[keep]]),
+        np.concatenate([top, hi[keep]]),
+        np.concatenate([panel_tol, np.repeat(panel_tol / pieces, pieces)]),
+        initial_panels=1,
         group=np.concatenate([np.arange(n), n + np.repeat(np.arange(n), pieces)]),
     )
     change = values[n:] - values[:n]
     correction = np.zeros(len(lower))
-    correction[cells] = np.where(np.abs(change) > whole_tol, 2.0 * change, 0.0)
+    correction[cells] = np.where(np.abs(change) > tol[cells], 2.0 * change, 0.0)
     return correction
 
 

@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     op.add_argument("--energy", type=float, required=True)
 
     # scan ----------------------------------------------------------------
-    _, _, scan_seed, scan_hops = _shared_options()  # for defaults of scan's own
+    _, _, scan_seed, scan_hops = _shared_options()  # fresh: set_defaults rewrites them
     sc = sub.add_parser("scan", parents=[scan_seed, scan_hops],
                         help="energy from which the optimum stays all-equal, per k")
     sc.add_argument("--k-values", type=_parse_ints, default=tuple(THRESHOLD_ENERGY_GRIDS))
@@ -174,15 +174,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _print_estimate(est) -> None:
     """The lines of a quadrature :class:`ProbEstimate` or a Monte Carlo report."""
-    mc = isinstance(est, MCReport)
-    value = est.estimate if mc else est.value
-    print(f"value: {value!r}")
-    print(f"display: {value:.4f}")
-    print(f"method: {'montecarlo' if mc else est.method}")
-    if mc:
-        print(f"std_error: {est.std_error:g}\nsamples: {est.samples}\nseed: {est.seed}")
+    if isinstance(est, MCReport):
+        value, method = est.estimate, "montecarlo"
+        own = f"std_error: {est.std_error:g}\nsamples: {est.samples}\nseed: {est.seed}"
     else:
-        print(f"abs_error: {est.abs_error:g}")
+        value, method, own = est.value, est.method, f"abs_error: {est.abs_error:g}"
+    print(f"value: {value!r}\ndisplay: {value:.4f}\nmethod: {method}\n{own}")
 
 
 def cmd_eval(args) -> int:

@@ -55,8 +55,9 @@ along its own axis reduces P to one-dimensional integrals:
   from 4 panels, and when a_i / a_j is below the gap from the lower limit
   to the first Kronrod node, the rule need not see that rise at all: each
   node reads the factor as 1 and the cell overstates P by up to about
-  0.64 a_i / a_j.  So such a cell is integrated again, whole and cut at
-  TAIL_SIGMAS * a_i / a_j above its lower limit for each such pair i; the
+  0.64 a_i / a_j.  So the first starting panel of such a cell, which
+  holds its layers, is integrated again, whole and cut at
+  TAIL_SIGMAS * a_i / a_j above the lower limit for each such pair i; the
   cut value is taken when the two differ by more than the cell's
   tolerance.
 

@@ -55,10 +55,12 @@ along its own axis reduces P to one-dimensional integrals:
   from 4 panels, and when a_i / a_j is below the gap from the lower limit
   to the first Kronrod node, the rule need not see that rise at all: each
   node reads the factor as 1 and the cell overstates P by up to about
-  0.64 a_i / a_j.  So the first starting panel of such a cell, which
+  0.64 a_i / a_j.  Such a cell's integrand records its lowest node, and
+  the refinement usually puts one inside every layer.  Only a cell with a
+  layer that no node reached is checked: the first starting panel, which
   holds its layers, is integrated again, whole and cut at
-  TAIL_SIGMAS * a_i / a_j above the lower limit for each such pair i; the
-  cut value is taken when the two differ by more than the cell's
+  TAIL_SIGMAS * a_i / a_j above the lower limit for each narrow pair i;
+  the cut value is taken when the two differ by more than the cell's
   tolerance.
 
 * regular m-simplex of circumradius r: decoding correctly from vertex v_1
@@ -194,9 +196,10 @@ def _p_pairs(
     spec = spec or DEFAULT_QUADRATURE
     live = lengths > 0
     values = lengths[live]
+    shortest, longest = float(values.min()), float(values.max())
     # One test on the whole stack; only a stack that fails it is searched
     # for the row at fault, so a row is refused exactly when it would be alone.
-    if _overflow(float(values.min()), float(values.max())):
+    if _overflow(shortest, longest):
         for row in lengths:
             if message := _overflow(float(row[row > 0].min()), float(row.max())):
                 raise ValueError(message)
@@ -232,18 +235,36 @@ def _p_pairs(
     row = np.repeat(np.arange(len(counts)), counts)
     tol_each = (spec.abs_tol / (4.0 * counts))[row]
     upper = center + TAIL_SIGMAS
-    total = 2.0 * integrate_many(
-        _cell_integrand(slope, intercept, center), lower, upper, tol_each,
-        initial_panels=_PANELS, group=row,
-    )
+    integrand = _cell_integrand(slope, intercept, center)
     # Pair i's factor of cell j's box rises within a layer about a_i / a_j
     # deep above the lower limit, which the nodes can miss where it is finer
     # than the gap below the cell's first node (module notes).  Far pairs
-    # have no layer.
-    narrow = (slope * (_FIRST_NODE * (upper - lower)) > 1.0) & (pairs.T < _FAR)
-    if narrow.any():
-        np.add.at(total, row, _layer_correction(slope, intercept, center, lower, upper,
-                                                tol_each, narrow))
+    # have no layer.  The flag, evaluated at the stack's steepest slope and
+    # deepest cell, bounds every cell's flag (each rounding is monotone), so
+    # a stack that fails it has no layer to look for.
+    flagged = longest / shortest * (_FIRST_NODE * (longest + TAIL_SIGMAS)) > 1.0
+    if flagged:
+        narrow = (slope * (_FIRST_NODE * (upper - lower)) > 1.0) & (pairs.T < _FAR)
+        flagged = narrow.any()
+    if flagged:
+        # Record the lowest node of each cell, over every round.
+        lowest = upper.copy()
+        cells = integrand
+
+        def integrand(t: np.ndarray, owner: np.ndarray) -> np.ndarray:
+            np.minimum.at(lowest, owner, t[:, 0])
+            return cells(t, owner)
+
+    total = 2.0 * integrate_many(
+        integrand, lower, upper, tol_each, initial_panels=_PANELS, group=row,
+    )
+    if flagged:
+        # A cell is checked, at all of its narrow layers, only when one of
+        # them holds no node of its refined panels.
+        narrow &= (narrow & (slope * (lowest - lower) > 1.0)).any(axis=0)
+        if narrow.any():
+            np.add.at(total, row, _layer_correction(slope, intercept, center, lower, upper,
+                                                    tol_each, narrow))
     # The origin's own cell is the box with half-widths a_i / 2.
     cube = (2.0 * ndtr(0.5 * a) - 1.0).prod(axis=1)
     return total + np.where(with_origin, cube, 0.0)
@@ -270,8 +291,9 @@ def _cell_integrand(slope: np.ndarray, intercept: np.ndarray, center: np.ndarray
 def _layer_correction(slope, intercept, center, lower, upper, tol, narrow) -> np.ndarray:
     """What each cell adds to its P once its narrow layers are cut apart.
 
-    The layers of a cell with a narrow one (``narrow[i, j]``: pair i's in
-    cell j) lie in the first of its starting panels, which
+    ``narrow[i, j]`` marks pair i's layer in cell j; :func:`_p_pairs` marks
+    only the cells with a layer that no node of its own loop reached.  The
+    layers lie in the first of the cell's starting panels, which
     :func:`integrate_many` refines apart from the others.  So only that
     panel is integrated again: whole, and cut TAIL_SIGMAS layer depths
     above the lower limit, past which the pair's factor is 1 to double

@@ -190,4 +190,10 @@ def load_configuration(path) -> Configuration:
                 raise ConfigParseError(
                     f"{path}: points[{idx}][{jdx}] is not a number: {c!r}"
                 )
+            try:
+                float(c)
+            except OverflowError:
+                raise ConfigParseError(
+                    f"{path}: points[{idx}][{jdx}] is too large for float64"
+                ) from None
     return Configuration(dimension=dim, points=np.array(pts, dtype=float))

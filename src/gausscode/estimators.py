@@ -168,15 +168,25 @@ def mc_decode(
     has measure zero, so the convention is estimate-neutral).  Point i
     draws from substream (seed, i) in the calling thread; ``threads`` is
     checked and ignored.  The standard error is the root-sum-square of the
-    per-point binomial errors.
+    per-point binomial errors.  Two points whose difference, or its squared
+    norm, overflows float64 are refused with ``ValueError`` before any draw.
     """
     samples = checked_count("samples", samples, 1)
     checked_count("threads", threads, 1)
     pts = config.distinct_points()
 
     def wall_test(i: int):
-        walls = np.delete(pts, i, axis=0) - pts[i]
-        offsets = 0.5 * np.einsum("ij,ij->i", walls, walls)
+        others = np.delete(pts, i, axis=0)
+        with np.errstate(over="ignore"):
+            walls = others - pts[i]
+            offsets = 0.5 * np.einsum("ij,ij->i", walls, walls)
+        finite = np.isfinite(offsets)
+        if not finite.all():
+            far = others[np.argmin(finite)]  # the first False
+            raise ValueError(
+                f"points {pts[i].tolist()} and {far.tolist()} are too far apart: "
+                "the square of their distance overflows float64"
+            )
         return lambda g: (walls @ g < offsets[:, None]).all(axis=0)
 
     tests = [wall_test(i) for i in range(pts.shape[0])]

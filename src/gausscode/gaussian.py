@@ -170,7 +170,8 @@ def integrate_many(
             owner, a, b = owner[order], a[order], b[order]
         width = b - a
         half = 0.5 * width
-        y = f((0.5 * (a + b))[:, None] + half[:, None] * _XK, owner)
+        mid = 0.5 * (a + b)
+        y = f(mid[:, None] + half[:, None] * _XK, owner)
         k15 = (y * _WK).sum(axis=1) * half
         g7 = (y[:, 1::2] * _WG).sum(axis=1) * half
         panel_tol = tol_scalar if tol_scalar is not None else tol[owner]
@@ -181,11 +182,11 @@ def integrate_many(
         # 71.6 ms (median), and this branch was faster in 56 of 60 runs.
         if n_groups == 1:
             totals[0] += k15[ok].sum()
-            owner, a, b = owner[bad], a[bad], b[bad]
+            owner, a, b, mid = owner[bad], a[bad], b[bad], mid[bad]
             worst += owner.size
         else:
             _add_by_group(totals, k15[ok], group[owner[ok]])
-            owner, a, b = owner[bad], a[bad], b[bad]
+            owner, a, b, mid = owner[bad], a[bad], b[bad], mid[bad]
             splits += np.bincount(group[owner], minlength=n_groups)
             worst = splits.max()
         if worst > max_subdivisions:
@@ -198,9 +199,8 @@ def integrate_many(
             )
         if not owner.size:
             break
-        m = 0.5 * (a + b)
         owner = np.concatenate([owner, owner])
-        a, b = np.concatenate([a, m]), np.concatenate([m, b])
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
     return totals
 
 

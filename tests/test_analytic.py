@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
+from gausscode import analytic
 from gausscode.analytic import (
     _p_pairs,
     _p_steiner_column,
@@ -232,6 +233,26 @@ class TestNarrowLayers:
     def test_three_pairs_match_mpmath(self, lengths, origin, want):
         fn = p_with_origin if origin else p_antipodal
         assert fn(anti(*lengths, origin=origin)).value == pytest.approx(float(want), abs=1e-10)
+
+    # Each input runs two integrate_many loops, the cells and then the check:
+    # no node of the refined panels reaches the layer that the check cuts.
+    @pytest.mark.parametrize("lengths,origin", [
+        *[((1.0, tiny), origin) for tiny in (1e-8, 1e-6, 1e-4, 6e-4) for origin in (True, False)],
+        ((2.0, 0.1, 4e-5), False), ((1.0, 0.3, 1e-4), True),
+        ((1.0, 3e-4, 1e-5), False), ((1.0, 3e-4, 1e-5), True),
+    ])
+    def test_checked_in_a_second_loop(self, monkeypatch, lengths, origin):
+        loops = []
+        integrate_many = analytic.integrate_many
+
+        def counting(*args, **kwargs):
+            loops.append(True)
+            return integrate_many(*args, **kwargs)
+
+        monkeypatch.setattr(analytic, "integrate_many", counting)
+        fn = p_with_origin if origin else p_antipodal
+        fn(anti(*lengths, origin=origin))
+        assert len(loops) == 2
 
     def test_rows_in_a_stack_as_alone(self):
         rows = np.array([[1.0, 1e-4, 0.0], [1.0, 0.5, 0.3], [2.0, 0.1, 4e-5], [1e-5, 1.0, 3e-4]])

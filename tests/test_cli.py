@@ -172,6 +172,22 @@ class TestEval:
         assert err.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
+    def test_overflowing_mc_walls_exit_1(self, capsys, tmp_path):
+        cfg = write_config(tmp_path / "c.json", 1, [[1e308], [-1e308]])
+        code, out, err = run(capsys, "eval", "mc", "--config", cfg, "--samples", "1000")
+        assert code == 1
+        assert out == ""
+        assert err == ("error: points [-1e+308] and [1e+308] are too far apart: "
+                       "the square of their distance overflows float64\n")
+
+    def test_integer_too_large_for_float_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(f'{{"dimension": 1, "points": [[1], [1{"0" * 400}]]}}')
+        code, out, err = run(capsys, "eval", "mc", "--config", str(path), "--samples", "10")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {path}: points[1][0] is too large for float64\n"
+
     def test_missing_file_exit_1(self, capsys):
         code, _, err = run(capsys, "eval", "mc", "--config", "/nonexistent.json",
                            "--samples", "10")

@@ -138,6 +138,13 @@ class TestFileRoundTrip:
         with pytest.raises(ConfigParseError):
             load_configuration(path)
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_integer_too_large_for_float(self, tmp_path, sign):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"dimension": 2, "points": [[1, 2], [3, {sign}1{"0" * 400}]]}}')
+        with pytest.raises(ConfigParseError, match=r"points\[1\]\[1\] is too large for float64"):
+            load_configuration(path)
+
     def test_invalid_json_has_line_info(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"dimension": 1,\n "points": [[1.0],]}')

@@ -79,6 +79,22 @@ class TestMcDecode:
         with pytest.raises(ValueError):
             mc_decode(PAIR, 0, seed=1)
 
+    @pytest.mark.parametrize("points, named", [
+        ([[1e308], [-1e308]], r"\[-1e\+308\] and \[1e\+308\]"),
+        ([[1e154, 0.0], [-1e154, 0.0], [0.0, 1.0]], r"\[-1e\+154, 0.0\] and \[1e\+154, 0.0\]"),
+    ], ids=["difference", "square"])
+    def test_overflowing_walls_refused(self, points, named):
+        # P is the number of points here; the overflowing walls gave 1.03
+        # for the first, after a RuntimeWarning.
+        config = Configuration(len(points[0]), points)
+        with pytest.raises(ValueError, match=f"points {named} are too far apart: "
+                           "the square of their distance overflows float64"):
+            mc_decode(config, 1000, seed=1)
+
+    def test_far_but_finite_walls_kept(self):
+        config = Configuration(1, [[1e153], [-1e153]])
+        assert mc_decode(config, 1000, seed=1).estimate == 2.0
+
 
 def distance_loop_decode(config: Configuration, samples: int, seed: int) -> MCReport:
     """Reference: nearest-point decoding by explicit squared distances.

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gausscode.analytic as analytic
 import gausscode.optimize as opt
 from gausscode.analytic import p_steiner, p_with_origin
 from gausscode.configs import AntipodalLengths, EnergyBudget
@@ -225,6 +226,21 @@ class TestWorkCounters:
         # k = 6, and refines each improving probe.
         result = basin_hop(k, EnergyBudget(energy), OptimSettings(hops=1))
         assert (result.evaluations, result.batches) == counts
+
+    @pytest.mark.parametrize("k, energy, loops", [(4, 2.0, 290), (6, 10.0, 840)])
+    def test_one_quadrature_loop_per_batch(self, monkeypatch, k, energy, loops):
+        # Each objective call is one integrate_many loop: the nodes of these
+        # rows reach every narrow layer, so no cell is checked again.
+        calls = []
+        integrate_many = analytic.integrate_many
+
+        def counting(*args, **kwargs):
+            calls.append(True)
+            return integrate_many(*args, **kwargs)
+
+        monkeypatch.setattr(analytic, "integrate_many", counting)
+        result = basin_hop(k, EnergyBudget(energy), OptimSettings(hops=1))
+        assert len(calls) == result.batches == loops
 
 
 class TestSpeculativeHops:

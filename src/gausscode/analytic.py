@@ -56,12 +56,11 @@ along its own axis reduces P to one-dimensional integrals:
   to the first Kronrod node, the rule need not see that rise at all: each
   node reads the factor as 1 and the cell overstates P by up to about
   0.64 a_i / a_j.  Such a cell's integrand records its lowest node, and
-  the refinement usually puts one inside every layer.  Only a cell with a
-  layer that no node reached is checked: the first starting panel, which
-  holds its layers, is integrated again, whole and cut at
-  TAIL_SIGMAS * a_i / a_j above the lower limit for each narrow pair i;
-  the cut value is taken when the two differ by more than the cell's
-  tolerance.
+  the refinement usually puts one inside every layer.  A row with a layer
+  that no node reached is integrated again, each of its cells cut at
+  TAIL_SIGMAS * a_i / a_j above the lower limit for each narrow pair i,
+  and that value replaces the row's.  Every other row keeps its value
+  from the first loop.
 
 * regular m-simplex of circumradius r: decoding correctly from vertex v_1
   is the event <g, v_i - v_1> <= |v_i - v_1|^2 / 2 for all i.  The
@@ -84,6 +83,7 @@ import numpy as np
 from .configs import AntipodalLengths, checked_count
 from .gaussian import (
     DEFAULT_QUADRATURE,
+    KRONROD_NODES,
     TAIL_SIGMAS,
     QuadratureSpec,
     deferred_ndtr,
@@ -102,7 +102,7 @@ _FAR = 1e150
 # Each pair cell starts from this many panels; the first Kronrod node of the
 # first one sits _FIRST_NODE of the cell's depth above its lower limit.
 _PANELS = 4
-_FIRST_NODE = (1.0 - 0.991455371120813) / (2 * _PANELS)
+_FIRST_NODE = float(1.0 + KRONROD_NODES[0]) / (2 * _PANELS)
 
 
 @dataclass(frozen=True)
@@ -189,9 +189,10 @@ def _p_pairs(
     2 Phi((a_i^2 + 2 a_j t - a_j^2)/(2 a_i)) - 1, an affine argument in t
     precomputed as slope/intercept per (j, i).  The cells of all rows run
     through one :func:`integrate_many` loop, one group per row, so each
-    round of refinement costs a single vectorized evaluation.  A row whose
-    cells would overflow float64 (:func:`_overflow`) is refused with
-    ``ValueError`` before any integral.
+    round of refinement costs a single vectorized evaluation; the rows
+    whose nodes missed a narrow layer run through a second (module notes).
+    A row whose cells would overflow float64 (:func:`_overflow`) is refused
+    with ``ValueError`` before any integral.
     """
     spec = spec or DEFAULT_QUADRATURE
     live = lengths > 0
@@ -235,7 +236,19 @@ def _p_pairs(
     row = np.repeat(np.arange(len(counts)), counts)
     tol_each = (spec.abs_tol / (4.0 * counts))[row]
     upper = center + TAIL_SIGMAS
-    integrand = _cell_integrand(slope, intercept, center)
+
+    def cells(t: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        # Box factors of shape (pairs, panels, 15), multiplied over pairs
+        x = slope.take(owner, axis=1)[:, :, None] * t
+        x += intercept.take(owner, axis=1)[:, :, None]
+        x = ndtr(x)  # one argument: perfbench's tracer wraps ndtr(x) to count
+        x *= 2.0
+        x -= 1.0
+        box = x.prod(axis=0)
+        box *= normal_pdf(t - center[owner][:, None])
+        return box
+
+    integrand = cells
     # Pair i's factor of cell j's box rises within a layer about a_i / a_j
     # deep above the lower limit, which the nodes can miss where it is finer
     # than the gap below the cell's first node (module notes).  Far pairs
@@ -249,7 +262,6 @@ def _p_pairs(
     if flagged:
         # Record the lowest node of each cell, over every round.
         lowest = upper.copy()
-        cells = integrand
 
         def integrand(t: np.ndarray, owner: np.ndarray) -> np.ndarray:
             np.minimum.at(lowest, owner, t[:, 0])
@@ -259,75 +271,33 @@ def _p_pairs(
         integrand, lower, upper, tol_each, initial_panels=_PANELS, group=row,
     )
     if flagged:
-        # A cell is checked, at all of its narrow layers, only when one of
-        # them holds no node of its refined panels.
-        narrow &= (narrow & (slope * (lowest - lower) > 1.0)).any(axis=0)
-        if narrow.any():
-            np.add.at(total, row, _layer_correction(slope, intercept, center, lower, upper,
-                                                    tol_each, narrow))
+        # A row with a layer that no node reached is integrated again, each
+        # of its cells cut TAIL_SIGMAS layer depths above the lower limit,
+        # past which the pair's factor is 1 to double precision, for each
+        # narrow pair.  A piece then holds at most one layer's rise, with
+        # its first node far inside it.  Empty pieces go: the cuts of other
+        # pairs, and those finer than the float spacing, sit on the lower
+        # limit, and equal pairs cut at one depth.  Each piece gets an equal
+        # share of its cell's tolerance: a share in proportion to its width
+        # is too small to meet in a layer 1e-8 deep.
+        missed = np.unique(row[(narrow & (slope * (lowest - lower) > 1.0)).any(axis=0)])
+        if missed.size:
+            mine = np.isin(row, missed)
+            bottom = lower[mine]
+            depth = TAIL_SIGMAS / np.where(narrow[:, mine], slope[:, mine], np.inf)
+            edges = np.sort(np.vstack([bottom, bottom + depth, upper[mine]]), axis=0).T
+            lo, hi = edges[:, :-1], edges[:, 1:]
+            keep = hi > lo
+            pieces = keep.sum(axis=1)
+            owner = np.flatnonzero(mine).repeat(pieces)
+            total[missed] = 2.0 * integrate_many(
+                lambda t, piece: cells(t, owner[piece]),
+                lo[keep], hi[keep], (tol_each[mine] / pieces).repeat(pieces),
+                initial_panels=_PANELS, group=np.searchsorted(missed, row[owner]),
+            )
     # The origin's own cell is the box with half-widths a_i / 2.
     cube = (2.0 * ndtr(0.5 * a) - 1.0).prod(axis=1)
     return total + np.where(with_origin, cube, 0.0)
-
-
-def _cell_integrand(slope: np.ndarray, intercept: np.ndarray, center: np.ndarray):
-    """The integrand f(t, owner) of the pair cells whose columns of box-factor
-    slopes and intercepts, and whose centers, are given (see :func:`_p_pairs`)."""
-
-    def integrand(t: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        # Box factors of shape (pairs, panels, 15), multiplied over pairs
-        x = slope.take(owner, axis=1)[:, :, None] * t
-        x += intercept.take(owner, axis=1)[:, :, None]
-        x = ndtr(x)  # one argument: perfbench's tracer wraps ndtr(x) to count
-        x *= 2.0
-        x -= 1.0
-        box = x.prod(axis=0)
-        box *= normal_pdf(t - center[owner][:, None])
-        return box
-
-    return integrand
-
-
-def _layer_correction(slope, intercept, center, lower, upper, tol, narrow) -> np.ndarray:
-    """What each cell adds to its P once its narrow layers are cut apart.
-
-    ``narrow[i, j]`` marks pair i's layer in cell j; :func:`_p_pairs` marks
-    only the cells with a layer that no node of its own loop reached.  The
-    layers lie in the first of the cell's starting panels, which
-    :func:`integrate_many` refines apart from the others.  So only that
-    panel is integrated again: whole, and cut TAIL_SIGMAS layer depths
-    above the lower limit, past which the pair's factor is 1 to double
-    precision, for each narrow pair.  Each piece then holds at most one
-    layer's rise, with its first node far inside it.  The cut value
-    replaces the whole one only when they differ by more than the cell's
-    tolerance, so a cell whose layers the adaptive rule found keeps its
-    value, bit for bit.
-    """
-    cells = np.flatnonzero(narrow.any(axis=0))
-    n = cells.size
-    bottom = lower[cells]
-    top = (upper[cells] - bottom) / _PANELS + bottom  # integrate_many's first edge
-    depth = TAIL_SIGMAS / np.where(narrow[:, cells], slope[:, cells], np.inf)
-    edges = np.sort(np.vstack([bottom, bottom + depth, top]), axis=0).T
-    lo, hi = edges[:, :-1], edges[:, 1:]
-    # Empty pieces go: the cuts of other pairs sit on the lower limit, and
-    # equal pairs cut at one depth.
-    keep = hi > lo
-    pieces = keep.sum(axis=1)
-    panel_tol = tol[cells] / _PANELS
-    owner = np.concatenate([cells, np.repeat(cells, pieces)])
-    values = integrate_many(
-        _cell_integrand(slope[:, owner], intercept[:, owner], center[owner]),
-        np.concatenate([bottom, lo[keep]]),
-        np.concatenate([top, hi[keep]]),
-        np.concatenate([panel_tol, np.repeat(panel_tol / pieces, pieces)]),
-        initial_panels=1,
-        group=np.concatenate([np.arange(n), n + np.repeat(np.arange(n), pieces)]),
-    )
-    change = values[n:] - values[:n]
-    correction = np.zeros(len(lower))
-    correction[cells] = np.where(np.abs(change) > tol[cells], 2.0 * change, 0.0)
-    return correction
 
 
 def p_antipodal(

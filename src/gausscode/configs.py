@@ -25,7 +25,7 @@ class ConfigurationError(ValueError):
 
 
 class ConfigParseError(ConfigurationError):
-    """The file is not valid JSON or is missing/typing the required fields."""
+    """The file is not valid UTF-8 JSON or is missing/typing the required fields."""
 
 
 class DimensionMismatchError(ConfigurationError):
@@ -160,14 +160,26 @@ def save_configuration(config: Configuration, path) -> None:
 
 
 def load_configuration(path) -> Configuration:
-    """Read a configuration, with line/field diagnostics on bad input."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Read a configuration, with line/field diagnostics on bad input.
+
+    Every fault of the file's content raises :class:`ConfigParseError` or
+    :class:`DimensionMismatchError` naming ``path``; a file that cannot be
+    read raises ``OSError``.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigParseError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigParseError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer of more digits than int() converts
+        raise ConfigParseError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigParseError(f"{path}: invalid JSON: nested too deeply to parse") from None
     if not isinstance(doc, dict):
         raise ConfigParseError(f"{path}: expected a JSON object at top level")
     if "dimension" not in doc or "points" not in doc:

@@ -33,7 +33,7 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 TAIL_SIGMAS = 8.5
 
 # 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1].
-# Nodes are sorted; the embedded Gauss nodes sit at the odd indices.
+# KRONROD_NODES ascend; the embedded Gauss nodes sit at the odd indices.
 _XK_HALF = [
     0.991455371120813,
     0.949107912342759,
@@ -56,7 +56,8 @@ _WK_CENTER = 0.209482141084728
 _WG_HALF = [0.129484966168870, 0.279705391489277, 0.381830050505119]
 _WG_CENTER = 0.417959183673469
 
-_XK = np.array([-x for x in _XK_HALF] + [0.0] + list(reversed(_XK_HALF)))
+KRONROD_NODES = np.array([-x for x in _XK_HALF] + [0.0] + list(reversed(_XK_HALF)))
+KRONROD_NODES.flags.writeable = False
 _WK = np.array(_WK_HALF + [_WK_CENTER] + list(reversed(_WK_HALF)))
 _WG = np.array(_WG_HALF + [_WG_CENTER] + list(reversed(_WG_HALF)))
 
@@ -134,8 +135,9 @@ def integrate_many(
     ``abs_tol_each`` (a scalar, or one value per integral) within its own
     interval, which must have hi_j > lo_j.  Each round evaluates every
     pending panel of every integral in one call ``f(t, owner)``: ``t`` holds
-    the nodes, shape (panels, 15), and ``owner`` the index j of the integral
-    each panel belongs to.
+    the nodes, shape (panels, 15), each row a panel's :data:`KRONROD_NODES`
+    mapped onto it, in ascending order, and ``owner`` the index j of the
+    integral each panel belongs to.
 
     Integral j adds to total ``group[j]`` (default: one group, 0), and the
     result holds the totals of groups 0..max(group), none for an empty
@@ -171,7 +173,7 @@ def integrate_many(
         width = b - a
         half = 0.5 * width
         mid = 0.5 * (a + b)
-        y = f(mid[:, None] + half[:, None] * _XK, owner)
+        y = f(mid[:, None] + half[:, None] * KRONROD_NODES, owner)
         k15 = (y * _WK).sum(axis=1) * half
         g7 = (y[:, 1::2] * _WG).sum(axis=1) * half
         panel_tol = tol_scalar if tol_scalar is not None else tol[owner]

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from gausscode import analytic
+from gausscode import analytic, gaussian
 from gausscode.analytic import (
     _p_pairs,
     _p_steiner_column,
@@ -15,7 +15,13 @@ from gausscode.analytic import (
 )
 from gausscode.configs import AntipodalLengths, Configuration
 from gausscode.estimators import p_direct
-from gausscode.gaussian import QuadratureSpec, RandomStream, integrate_gauss_tail, normal_cdf
+from gausscode.gaussian import (
+    TAIL_SIGMAS,
+    QuadratureSpec,
+    RandomStream,
+    integrate_gauss_tail,
+    normal_cdf,
+)
 from gausscode.reporting import (
     STEINER_ENERGY_GRID,
     STEINER_K_GRID,
@@ -234,8 +240,8 @@ class TestNarrowLayers:
         fn = p_with_origin if origin else p_antipodal
         assert fn(anti(*lengths, origin=origin)).value == pytest.approx(float(want), abs=1e-10)
 
-    # Each input runs two integrate_many loops, the cells and then the check:
-    # no node of the refined panels reaches the layer that the check cuts.
+    # Each input runs two integrate_many loops, the cells and then its row
+    # again, cut at its layers: no node of the refined panels reaches a layer.
     @pytest.mark.parametrize("lengths,origin", [
         *[((1.0, tiny), origin) for tiny in (1e-8, 1e-6, 1e-4, 6e-4) for origin in (True, False)],
         ((2.0, 0.1, 4e-5), False), ((1.0, 0.3, 1e-4), True),
@@ -254,11 +260,51 @@ class TestNarrowLayers:
         fn(anti(*lengths, origin=origin))
         assert len(loops) == 2
 
-    def test_rows_in_a_stack_as_alone(self):
-        rows = np.array([[1.0, 1e-4, 0.0], [1.0, 0.5, 0.3], [2.0, 0.1, 4e-5], [1e-5, 1.0, 3e-4]])
-        stack = _p_pairs(rows, False)
-        alone = [_p_pairs(row[None], False)[0] for row in rows]
-        assert [repr(v) for v in stack] == [repr(v) for v in alone]
+    def test_rows_in_a_stack_as_alone(self, monkeypatch):
+        calls = []  # the upper limits of each integrate_many call
+        integrate_many = analytic.integrate_many
+
+        def recording(f, lo, hi, *args, **kwargs):
+            calls.append(hi)
+            return integrate_many(f, lo, hi, *args, **kwargs)
+
+        monkeypatch.setattr(analytic, "integrate_many", recording)
+        # The k6-E4 optimum of TestFrozenBasinHop is flagged, but its nodes
+        # reach its layers.  It is six wide, so it stacks beside the first
+        # row with collapsed pairs added, the same code.
+        optimum = [0.8159679517663807, 0.8159668700750122, 0.8159164693143217,
+                   0.05169134020657336, 0.0016398412925693708, 0.0]
+        for rows, missed in [
+            ([[1.0, 1e-4, 0.0], [1.0, 0.5, 0.3], [2.0, 0.1, 4e-5], [1e-5, 1.0, 3e-4]], [0, 2, 3]),
+            ([[1.0, 1e-4, 0.0, 0.0, 0.0, 0.0], optimum], [0]),
+        ]:
+            rows = np.array(rows)
+            calls.clear()
+            stack = _p_pairs(rows, False)
+            # The second loop holds the missed rows' cells only: each cell's
+            # last piece ends at its length + TAIL_SIGMAS, and every cut below.
+            assert len(calls) == 2
+            ends = calls[1][calls[1] > TAIL_SIGMAS]
+            lengths = rows[missed][rows[missed] > 0]
+            assert sorted(ends) == sorted(lengths + TAIL_SIGMAS)
+            alone = [_p_pairs(row[None], False)[0] for row in rows]
+            assert [repr(v) for v in stack] == [repr(v) for v in alone]
+
+    def test_first_node_is_integrate_manys(self):
+        # _FIRST_NODE places the first node that integrate_many gives f in a
+        # cell of _PANELS starting panels.
+        nodes = []
+
+        def f(t, owner):
+            nodes.append(t[:, 0].copy())
+            return np.zeros_like(t)
+
+        lo, hi = np.array([0.5, -3.0, 1e-5]), np.array([9.5, 7.25, 8.50001])
+        gaussian.integrate_many(f, lo, hi, 1e-10, initial_panels=analytic._PANELS)
+        first = nodes[0][::analytic._PANELS]
+        want = lo + analytic._FIRST_NODE * (hi - lo)
+        # A few ulp of the limits: a node near 0 is a difference of such values.
+        assert np.all(np.abs(first - want) <= 4 * np.spacing(np.abs(lo) + np.abs(hi)))
 
 
 class TestSimplex:

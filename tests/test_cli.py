@@ -188,6 +188,20 @@ class TestEval:
         assert out == ""
         assert err == f"error: {path}: points[1][0] is too large for float64\n"
 
+    @pytest.mark.parametrize("content", [
+        b'{"dimension": 1, "points": [[1.0]], "note": "caf\xe9"}',
+        b'{"dimension": 1, "points": [[1' + b"0" * 5000 + b"]]}",
+        b"[" * 100_000,
+    ], ids=["latin1", "digits", "nested"])
+    def test_undecodable_config_exit_1(self, capsys, tmp_path, content):
+        path = tmp_path / "c.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "eval", "mc", "--config", str(path), "--samples", "10")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {path}: ")
+        assert err.count("\n") == 1
+
     def test_missing_file_exit_1(self, capsys):
         code, _, err = run(capsys, "eval", "mc", "--config", "/nonexistent.json",
                            "--samples", "10")

@@ -145,6 +145,18 @@ class TestFileRoundTrip:
         with pytest.raises(ConfigParseError, match=r"points\[1\]\[1\] is too large for float64"):
             load_configuration(path)
 
+    @pytest.mark.parametrize("content", [
+        b'{"dimension": 1, "points": [[1.0]], "note": "caf\xe9"}',  # Latin-1, not UTF-8
+        b'{"dimension": 1, "points": [[1' + b"0" * 5000 + b"]]}",  # past int()'s digit limit
+        b"[" * 100_000,  # deeper than the parser recurses
+    ], ids=["latin1", "digits", "nested"])
+    def test_undecodable_content_names_the_file(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigParseError) as err:
+            load_configuration(path)
+        assert str(err.value).startswith(f"{path}: ")
+
     def test_invalid_json_has_line_info(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"dimension": 1,\n "points": [[1.0],]}')
